@@ -1,0 +1,8 @@
+"""Lets ``python -m pytest bench -q`` import the program from ``src``."""
+
+import sys
+
+from bench import SRC
+
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
