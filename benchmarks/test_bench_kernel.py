@@ -101,13 +101,9 @@ def best_of(runs, func):
 
 
 def test_kernel_speedup(benchmark):
-    from repro.linalg.array_kernel import numpy_available
-
-    measure_array = numpy_available()
     rows = []
     records = []
     best_ratio = 0.0
-    best_array_ratio = 0.0
     for nd in (2, 3, 4):
         lifted, to_eliminate = hull_lift_workload(nd)
         int_time, int_result = best_of(
@@ -121,33 +117,18 @@ def test_kernel_speedup(benchmark):
         assert list(int_result.constraints) == list(ref_result.constraints)
         ratio = ref_time / int_time
         best_ratio = max(best_ratio, ratio)
-        record = {
+        records.append({
             "workload": "hull(%d)" % nd,
             "int_seconds": int_time,
             "reference_seconds": ref_time,
             "speedup": ratio,
             "rows_out": len(int_result),
-        }
-        array_cell = "array=     n/a"
-        if measure_array:
-            array_time, array_result = best_of(
-                5, lambda: eliminate_all_tracked(lifted, to_eliminate,
-                                                 kernel="array")
-            )
-            assert (list(array_result.constraints)
-                    == list(int_result.constraints))
-            array_ratio = int_time / array_time
-            best_array_ratio = max(best_array_ratio, array_ratio)
-            record["array_seconds"] = array_time
-            record["array_speedup_vs_int"] = array_ratio
-            array_cell = ("array=%7.4fs (%5.2fx vs int)"
-                          % (array_time, array_ratio))
+        })
         rows.append(
             "hull(%d)   int=%7.4fs   reference=%7.4fs   %5.2fx   "
-            "%s   rows_out=%d"
-            % (nd, int_time, ref_time, ratio, array_cell, len(int_result))
+            "rows_out=%d"
+            % (nd, int_time, ref_time, ratio, len(int_result))
         )
-        records.append(record)
 
     lifted, to_eliminate = hull_lift_workload(4)
     benchmark.pedantic(
@@ -156,20 +137,17 @@ def test_kernel_speedup(benchmark):
     )
     emit(
         "F8_kernel",
-        "Integer row kernel vs reference object pipeline vs numpy\n"
-        "array kernel (tracked FM projection of lifted hull systems;\n"
+        "Integer row kernel vs reference object pipeline\n"
+        "(tracked FM projection of lifted hull systems;\n"
         "projections byte-identical by assertion)\n"
         + "\n".join(rows) + "\n",
         data=records,
     )
     _update_headline("kernel_micro", records)
-    # The acceptance targets: int >= 3x over reference, and (with
-    # numpy) array >= 2x over int, both on the FM-heavy workloads.
-    # hull(2) is dominated by the shared final LP prune, so the
-    # targets apply to the elimination-bound sizes.
+    # The acceptance target: int >= 3x over reference on the FM-heavy
+    # workloads.  hull(2) is dominated by the shared final LP prune,
+    # so the target applies to the elimination-bound sizes.
     assert best_ratio >= 3.0, rows
-    if measure_array:
-        assert best_array_ratio >= 2.0, rows
 
 
 # -- serial vs parallel corpus sweep ------------------------------------------

@@ -1,12 +1,8 @@
 """Experiment F7: what the staged pipeline's memoization buys.
 
-Two caches sit behind :mod:`repro.core.pipeline`:
-
-- the *environment* cache — one inter-argument fixpoint per
-  (program, norm, inference settings), shared across query modes, and
-- the *dualization* cache — Eq. 1 rule systems keyed by structural
-  fingerprint, so the LP dualization of a shared SCC (``append``
-  reached from three different callers, say) runs once.
+The *environment* cache behind :mod:`repro.core.pipeline` runs one
+inter-argument fixpoint per (program, norm, inference settings),
+shared across query modes.
 
 This experiment measures cold vs warm sweeps over the corpus and a
 multi-mode library file, and asserts the warm verdicts are identical —
@@ -58,27 +54,22 @@ def test_corpus_cold_vs_warm(benchmark):
     warm_verdicts, warm_trace, warm_time = sweep_corpus()
     assert warm_verdicts == cold_verdicts  # memoization changes nothing
 
-    # A warm sweep re-reads every environment and dualization from the
-    # process-wide caches.
+    # A warm sweep re-reads every environment from the process-wide
+    # cache.
     assert warm_trace.stage("interarg").cache_misses == 0
-    assert warm_trace.stage("dualize").cache_misses == 0
     benchmark.pedantic(sweep_corpus, rounds=3, iterations=1)
 
     lines = [
-        "%-6s %8s %14s %14s" % ("sweep", "sec", "interarg h/m", "dualize h/m"),
-        "%-6s %8.3f %14s %14s" % (
+        "%-6s %8s %14s" % ("sweep", "sec", "interarg h/m"),
+        "%-6s %8.3f %14s" % (
             "cold", cold_time,
             "%d/%d" % (cold_trace.stage("interarg").cache_hits,
                        cold_trace.stage("interarg").cache_misses),
-            "%d/%d" % (cold_trace.stage("dualize").cache_hits,
-                       cold_trace.stage("dualize").cache_misses),
         ),
-        "%-6s %8.3f %14s %14s" % (
+        "%-6s %8.3f %14s" % (
             "warm", warm_time,
             "%d/%d" % (warm_trace.stage("interarg").cache_hits,
                        warm_trace.stage("interarg").cache_misses),
-            "%d/%d" % (warm_trace.stage("dualize").cache_hits,
-                       warm_trace.stage("dualize").cache_misses),
         ),
         "speedup: %.1fx" % (cold_time / warm_time if warm_time else 0.0),
     ]
@@ -90,7 +81,6 @@ def test_corpus_cold_vs_warm(benchmark):
              "cold_interarg_misses": cold_trace.stage(
                  "interarg").cache_misses,
              "warm_interarg_hits": warm_trace.stage("interarg").cache_hits,
-             "warm_dualize_hits": warm_trace.stage("dualize").cache_hits,
          })
 
 
@@ -128,7 +118,6 @@ def test_shared_analyzer_across_modes(benchmark):
     assert statuses == ["PROVED"] * len(MODES)
     assert per_mode.stage("interarg").cache_hits == 0
     assert shared.stage("interarg").cache_hits == len(MODES) - 1
-    assert shared.stage("dualize").cache_hits > 0
 
     def bench():
         clear_caches()
@@ -137,21 +126,16 @@ def test_shared_analyzer_across_modes(benchmark):
     benchmark.pedantic(bench, rounds=3, iterations=1)
 
     lines = [
-        "%-18s %8s %14s %14s" % (
-            "driver", "sec", "interarg h/m", "dualize h/m"),
-        "%-18s %8.3f %14s %14s" % (
+        "%-18s %8s %14s" % ("driver", "sec", "interarg h/m"),
+        "%-18s %8.3f %14s" % (
             "fresh per mode", fresh_time,
             "%d/%d" % (per_mode.stage("interarg").cache_hits,
                        per_mode.stage("interarg").cache_misses),
-            "%d/%d" % (per_mode.stage("dualize").cache_hits,
-                       per_mode.stage("dualize").cache_misses),
         ),
-        "%-18s %8.3f %14s %14s" % (
+        "%-18s %8.3f %14s" % (
             "shared analyzer", shared_time,
             "%d/%d" % (shared.stage("interarg").cache_hits,
                        shared.stage("interarg").cache_misses),
-            "%d/%d" % (shared.stage("dualize").cache_hits,
-                       shared.stage("dualize").cache_misses),
         ),
     ]
     emit("F7_shared_analyzer", "4 modes of a 3-predicate library\n"
@@ -160,5 +144,4 @@ def test_shared_analyzer_across_modes(benchmark):
              "fresh_seconds": fresh_time,
              "shared_seconds": shared_time,
              "shared_interarg_hits": shared.stage("interarg").cache_hits,
-             "shared_dualize_hits": shared.stage("dualize").cache_hits,
          })

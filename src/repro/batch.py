@@ -14,8 +14,7 @@ verdict table and one merged :class:`~repro.core.AnalysisTrace`.
 - **chunking** groups items by source text, so one worker analyzes
   every mode of a program with a single
   :class:`~repro.methods.MethodRunner` — reusing the inferred
-  inter-argument environment and the dualization cache exactly like
-  the serial sweep does (large groups are split when there are fewer
+  inter-argument environment exactly like the serial sweep does (large groups are split when there are fewer
   programs than workers); ``settings.method`` picks the registered
   termination prover (``argsize`` by default);
 - ``jobs=1`` runs in-process with no executor and no pickling — the

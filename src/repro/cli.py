@@ -94,12 +94,10 @@ def build_parser():
     )
     parser.add_argument(
         "--kernel", default="int",
-        choices=("int", "array", "reference"),
-        help="Fourier–Motzkin/simplex kernel: 'int' (default) is the "
-        "dense integer row kernel, 'array' the vectorized numpy "
-        "kernel with batched per-SCC LP solves (falls back to 'int' "
-        "without numpy), 'reference' the original object pipeline; "
-        "all three give byte-identical results",
+        choices=("int", "reference"),
+        help="Fourier–Motzkin kernel: 'int' (default) is the dense "
+        "integer row kernel, 'reference' the original object pipeline; "
+        "both give byte-identical results",
     )
     parser.add_argument(
         "--negative-theta", action="store_true",

@@ -132,12 +132,9 @@ class AnalyzerSettings:
     validated — when the analyzer is constructed.
     ``prune_fm`` — redundancy pruning inside Fourier–Motzkin.
     ``fm_kernel`` — ``"int"`` (default) runs Fourier–Motzkin solves on
-    the dense integer row kernel; ``"array"`` runs the vectorized
-    numpy kernel (batched per-SCC LP dispatch included), degrading to
-    ``"int"`` when numpy is missing or int64 would overflow;
-    ``"reference"`` keeps the original object pipeline (differential
-    testing / ablation).  All three produce byte-identical verdicts
-    and witnesses.
+    the dense integer row kernel; ``"reference"`` keeps the original
+    object pipeline (differential testing / ablation).  Both produce
+    byte-identical verdicts and witnesses.
     ``method`` — name of the :mod:`repro.methods` termination prover
     drivers dispatch to (``argsize``, ``sizechange``, ``nonterm``, or
     ``portfolio``).  ``argsize`` is the paper's pipeline and the
@@ -175,7 +172,7 @@ class TerminationAnalyzer:
     Thin façade over :class:`~repro.core.pipeline.AnalysisPipeline`:
     settings are validated (norm + backend resolved) here, analyses
     are delegated there.  Reusing one analyzer across modes reuses the
-    inferred inter-argument environment and the dualization cache.
+    inferred inter-argument environment.
     """
 
     def __init__(self, program, settings=None, certificate_cache=None):

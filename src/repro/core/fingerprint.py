@@ -2,7 +2,9 @@
 
 The unit of caching in the incremental pipeline is the SCC, so the
 cache key must be a *content address of everything an SCC's analysis
-reads* — and nothing else.  Two fingerprints are computed here:
+reads* — and nothing else.  Two fingerprints are computed here (plus
+:func:`program_fingerprint`, the whole-program key of the
+inter-argument environment cache):
 
 :func:`env_scc_fingerprint`
     identifies one SCC of the predicate dependency graph for the
@@ -22,7 +24,7 @@ reads* — and nothing else.  Two fingerprints are computed here:
 Both are invariant under:
 
 - **variable renaming** — clause variables are alpha-numbered in
-  first-occurrence order, like :func:`repro.core.pipeline.program_fingerprint`;
+  first-occurrence order;
 - **predicate renaming** — member predicates are replaced by canonical
   labels computed by color refinement (below), builtins keep their
   names, and non-member callees are replaced by a digest of their
@@ -56,6 +58,7 @@ __all__ = [
     "CERT_KEY_PREFIX",
     "canonical_polyhedron",
     "env_scc_fingerprint",
+    "program_fingerprint",
     "scc_certificate_fingerprint",
 ]
 
@@ -99,8 +102,7 @@ def _polyhedron_token(env, indicator):
 
 
 def _canonical_term(term, names):
-    """Alpha-numbered term rendering (same scheme the whole-program
-    fingerprint in :mod:`repro.core.pipeline` uses)."""
+    """Alpha-numbered term rendering."""
     if isinstance(term, Var):
         index = names.get(term.name)
         if index is None:
@@ -139,6 +141,23 @@ def _render_clause(clause, head_token, reference_token):
                reference_token(position, literal), args)
         )
     return head + ":-" + ",".join(body)
+
+
+def program_fingerprint(program):
+    """Alpha-invariant identity of a program's clauses.
+
+    Variables are numbered per clause in first-occurrence order, so two
+    parses of the same source — whose anonymous ``_`` variables get
+    distinct gensym names — fingerprint identically.  Mode declarations
+    do not participate: they steer drivers, not the analysis itself.
+    """
+    def indicator_token(_position, literal):
+        return "%s/%d" % literal.indicator
+
+    return "\n".join(
+        _render_clause(clause, "%s/%d" % clause.indicator, indicator_token)
+        for clause in program.clauses
+    )
 
 
 def _refine_members(render_member):

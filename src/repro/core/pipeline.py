@@ -18,22 +18,14 @@ run, SCC-level stages per recursive SCC), timing each into a
 — surfaced by ``render_report(..., show_stats=True)`` and
 ``repro-analyze --stats``.
 
-Two memoization layers make repeated analyses (``--all-modes`` sweeps,
-the corpus drivers) cheap:
-
-- **dualization cache** — ``pair_constraints`` output keyed by the
-  structural fingerprint of the rule system (adorned head/subgoal,
-  bound positions, size polynomials, imported constraints).  The same
-  Eq. 1 system reached through different query modes or re-parsed
-  program text dualizes once.
-- **environment cache** — inferred :class:`SizeEnvironment` objects
-  keyed by (alpha-invariant program fingerprint, norm, inference
-  settings), so analyzing a second mode of the same program skips the
-  polyhedral fixpoint entirely.
-
-Both caches are process-wide, bounded, and sound: the cached value is
-a pure function of the key.  :func:`clear_caches` resets them (used by
-benchmarks measuring cold/warm deltas).
+The **environment cache** makes repeated analyses (``--all-modes``
+sweeps, the corpus drivers) cheap: inferred :class:`SizeEnvironment`
+objects are keyed by (alpha-invariant program fingerprint, norm,
+inference settings), so analyzing a second mode of the same program
+skips the polyhedral fixpoint entirely.  The cache is process-wide,
+bounded, and sound: the cached value is a pure function of the key.
+:func:`clear_caches` resets it (used by benchmarks measuring
+cold/warm deltas).
 """
 
 from __future__ import annotations
@@ -46,18 +38,18 @@ from time import perf_counter
 from repro.errors import AnalysisError
 from repro.obs import METRICS, Tracer, span
 from repro.lp.program import Program
-from repro.lp.terms import Struct, Var
 from repro.linalg.constraints import ConstraintSystem
 from repro.linalg.fourier_motzkin import KERNELS, use_kernel
 from repro.graph.scc import is_recursive_component, strongly_connected_components
 from repro.sizes.norms import get_norm
-from repro.solve import BatchLPBackend, get_backend
+from repro.solve import get_backend
 from repro.interarg import (
     SizeEnvironment,
     infer_interargument_constraints,
 )
 from repro.core.adornment import adorned_call_graph
 from repro.core.certificate import SCCProof, TerminationProof
+from repro.core.fingerprint import program_fingerprint
 from repro.core.dual import (
     lam_var,
     lambda_nonnegativity,
@@ -298,12 +290,11 @@ class AnalysisTrace:
         return "\n".join(lines)
 
     def describe_caches(self):
-        """Cache-effectiveness summary (dualization + environment),
-        derived from the dualize/interarg stage counters; empty string
-        when neither cache was consulted."""
+        """Cache-effectiveness summary (environment + certificate),
+        derived from the interarg/fingerprint stage counters; empty
+        string when neither cache was consulted."""
         lines = []
         for label, stage_name in (
-            ("dualization cache", "dualize"),
             ("environment cache", "interarg"),
             ("certificate cache", "fingerprint"),
         ):
@@ -441,125 +432,13 @@ class AnalysisResult:
 
 # -- memoization --------------------------------------------------------------
 
-_DUAL_CACHE = {}
-_DUAL_CACHE_LIMIT = 4096
-
 _ENV_CACHE = {}
 _ENV_CACHE_LIMIT = 128
 
 
 def clear_caches():
-    """Drop the process-wide dualization and environment caches."""
-    _DUAL_CACHE.clear()
+    """Drop the process-wide environment cache."""
     _ENV_CACHE.clear()
-
-
-def _canonical_term(term, names):
-    if isinstance(term, Var):
-        index = names.get(term.name)
-        if index is None:
-            index = names[term.name] = len(names)
-        return "_%d" % index
-    if isinstance(term, Struct):
-        return "%s(%s)" % (
-            term.functor,
-            ",".join(_canonical_term(arg, names) for arg in term.args),
-        )
-    return str(term)
-
-
-def program_fingerprint(program):
-    """Alpha-invariant identity of a program's clauses.
-
-    Variables are numbered per clause in first-occurrence order, so two
-    parses of the same source — whose anonymous ``_`` variables get
-    distinct gensym names — fingerprint identically.  Mode declarations
-    do not participate: they steer drivers, not the analysis itself.
-    """
-    lines = []
-    for clause in program.clauses:
-        names = {}
-        head = _canonical_term(clause.head, names)
-        body = ",".join(
-            ("" if literal.positive else "\\+") +
-            _canonical_term(literal.atom, names)
-            for literal in clause.body
-        )
-        lines.append(head + ":-" + body)
-    return "\n".join(lines)
-
-
-def _canonical_expr(expr, names):
-    """Hashable form of a size polynomial with ``("sz", name)``
-    variables replaced by first-occurrence indices."""
-    terms = []
-    for var, coeff in expr.items():
-        if isinstance(var, tuple) and len(var) == 2 and var[0] == "sz":
-            index = names.get(var[1])
-            if index is None:
-                index = names[var[1]] = len(names)
-            var = ("sz", index)
-        terms.append((var, coeff))
-    return (tuple(terms), expr.const)
-
-
-def rule_system_fingerprint(system):
-    """Alpha-invariant identity of an Eq. 1 system.
-
-    Two rule systems with equal fingerprints produce identical
-    ``pair_constraints`` output (under the same elimination settings):
-    the dualization reads only the adorned endpoints, the bound
-    positions, the size polynomials, and the imported constraints —
-    all captured here.  Clause variable names are canonicalized away
-    (the dual output mentions only ``lam``/``theta`` variables keyed by
-    adorned predicates, never clause variables), so re-parsed program
-    text — whose anonymous ``_`` variables gensym differently — still
-    hits.
-    """
-    names = {}
-    return (
-        system.head_node,
-        system.subgoal_node,
-        system.x_positions,
-        system.y_positions,
-        tuple(_canonical_expr(e, names) for e in system.x_exprs),
-        tuple(_canonical_expr(e, names) for e in system.y_exprs),
-        tuple(
-            (c.relation, _canonical_expr(c.expr, names))
-            for c in system.imported
-        ),
-    )
-
-
-def cached_pair_constraints(system, eliminate_w=True, prune=True):
-    """Memoized :func:`~repro.core.dual.pair_constraints`.
-
-    Returns ``(constraint_system, cache_hit)``.  Only the
-    ``eliminate_w=True`` route is cached: it is the expensive one (a
-    Fourier–Motzkin projection per pair) and its output contains no
-    pair-local ``w`` variables, so sharing across pairs is sound.
-    """
-    if not eliminate_w:
-        return pair_constraints(system, eliminate_w=False, prune=prune), False
-    key = (rule_system_fingerprint(system), bool(prune))
-    cached = _DUAL_CACHE.get(key)
-    if cached is not None:
-        if METRICS.enabled:
-            METRICS.counter("dualize.cache.hit").inc()
-        return cached, True
-    if METRICS.enabled:
-        METRICS.counter("dualize.cache.miss").inc()
-    with span(
-        "dualize.pair",
-        head=system.head_node,
-        subgoal=system.subgoal_node,
-    ) as node:
-        result = pair_constraints(system, eliminate_w=True, prune=prune)
-        node.inc("rows_out", len(result))
-    if len(_DUAL_CACHE) >= _DUAL_CACHE_LIMIT:
-        _DUAL_CACHE.pop(next(iter(_DUAL_CACHE)))
-    _DUAL_CACHE[key] = result
-    return result, False
 
 
 def _inference_key(settings):
@@ -626,11 +505,11 @@ class _SCCState:
 
 @dataclass
 class _PreparedSCC:
-    """One SCC run through its pre-solve stages (batched dispatch).
+    """One SCC run through its pre-solve stages (deferred solve).
 
     ``result`` is set when the SCC finished early — a certificate
     cache hit or a pre-solve verdict — otherwise ``state.final``
-    holds the assembled lambda system awaiting the batched solve.
+    holds the assembled lambda system awaiting the shared solve call.
     """
 
     state: _SCCState
@@ -777,10 +656,7 @@ class AnalysisPipeline:
             worklist.append(
                 (members, is_recursive_component(graph, component))
             )
-        batched = (
-            isinstance(self.backend, BatchLPBackend)
-            and sum(1 for _, recursive in worklist if recursive) >= 2
-        )
+        batched = sum(1 for _, recursive in worklist if recursive) >= 2
         scc_results = []
         pending = []  # (result slot index, _PreparedSCC) awaiting solve
         overall = PROVED
@@ -870,7 +746,8 @@ class AnalysisPipeline:
         raise AnalysisError("certify stage returned no result")  # unreachable
 
     def _prepare_scc(self, members, trace):
-        """Run one SCC's pre-solve stages (batched dispatch mode).
+        """Run one SCC's pre-solve stages (deferred-solve mode, taken
+        when a query reaches two or more recursive SCCs).
 
         Mirrors :meth:`analyze_scc` up to the point the final lambda
         system exists, then defers the feasibility solve: the caller
@@ -914,14 +791,14 @@ class AnalysisPipeline:
         return prepared
 
     def _solve_scc_batch(self, pending, scc_results, trace):
-        """Dispatch the deferred solves as one batched backend call.
+        """Dispatch the deferred solves as one backend
+        :meth:`~repro.solve.LPBackend.feasible_points` call.
 
         Fills each pending ``(slot, prepared)`` entry of *scc_results*
         in place.  Stage accounting matches the serial path: one
-        ``solve`` record per SCC (an even share of the batch wall time
+        ``solve`` record per SCC (an even share of the call's wall time
         plus that SCC's assembly time), then the ordinary ``certify``
-        stage; outcomes are byte-identical to serial solves by the
-        :class:`~repro.solve.BatchLPBackend` contract.
+        stage.
         """
         with use_kernel(self.fm_kernel):
             finals = [prepared.state.final for _, prepared in pending]
@@ -1077,19 +954,21 @@ class AnalysisPipeline:
         return None
 
     def _stage_dualize(self, state, event):
-        """LP-dualize each pair into lambda/theta constraints (memoized)."""
+        """LP-dualize each pair into lambda/theta constraints."""
         state.combined = ConstraintSystem()
         for system in state.systems:
-            rows, hit = cached_pair_constraints(
-                system,
-                eliminate_w=self.settings.eliminate_w,
-                prune=self.settings.prune_fm,
-            )
+            with span(
+                "dualize.pair",
+                head=system.head_node,
+                subgoal=system.subgoal_node,
+            ) as node:
+                rows = pair_constraints(
+                    system,
+                    eliminate_w=self.settings.eliminate_w,
+                    prune=self.settings.prune_fm,
+                )
+                node.inc("rows_out", len(rows))
             state.combined.extend(rows)
-            if hit:
-                event.cache_hits += 1
-            else:
-                event.cache_misses += 1
         state.lambda_system = lambda_nonnegativity(
             (node, state.bound_positions[node]) for node in state.members
         )

@@ -288,8 +288,15 @@ def _literal_constraints(literal, env, norm):
     return instantiate_on_args(poly, literal.atom, norm)
 
 
-def _all_variables(constraints, extra):
-    names = set(extra)
+def _all_variables(constraints, head_dims):
+    """The clause polyhedron's dimensions: *head_dims* first, in
+    positional order, then every other variable sorted by ``repr``.
+
+    Projection keeps the surviving dimensions in this order, so the
+    result lines up with :func:`bottom_polyhedron` — sorting
+    ``("arg", 10)`` by ``repr`` would put it before ``("arg", 2)``.
+    """
+    names = set()
     for constraint in constraints:
         names |= constraint.variables()
-    return sorted(names, key=repr)
+    return list(head_dims) + sorted(names - set(head_dims), key=repr)

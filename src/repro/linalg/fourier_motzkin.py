@@ -39,7 +39,6 @@ from repro.linalg.rows import RowKernel, tracked_project
 
 __all__ = [
     "FMBlowupError",
-    "KERNEL_ARRAY",
     "KERNEL_INT",
     "KERNEL_REFERENCE",
     "KERNELS",
@@ -52,12 +51,10 @@ __all__ = [
     "use_kernel",
 ]
 
-#: The integer row kernel (default), the vectorized numpy kernel, and
-#: the original object path.
+#: The integer row kernel (default) and the original object path.
 KERNEL_INT = "int"
-KERNEL_ARRAY = "array"
 KERNEL_REFERENCE = "reference"
-KERNELS = (KERNEL_INT, KERNEL_ARRAY, KERNEL_REFERENCE)
+KERNELS = (KERNEL_INT, KERNEL_REFERENCE)
 
 #: The process-default kernel: public entry points accept
 #: ``kernel=None`` and fall back to this, so callers that never pass a
@@ -110,16 +107,6 @@ def eliminate(system, var, prune=True, kernel=None):
         return _eliminate_by_substitution(system, var, relevant_eq)
     if kernel == KERNEL_REFERENCE:
         return _eliminate_by_combination(system, var, prune=prune)
-    if kernel == KERNEL_ARRAY:
-        from repro.linalg.array_kernel import (
-            ArrayKernelUnavailable,
-            eliminate_one_array,
-        )
-
-        try:
-            return eliminate_one_array(system, var, prune=prune)
-        except ArrayKernelUnavailable:
-            pass  # machine arithmetic refused: exact path below
     return _kernel_combination(system, var, prune=prune)
 
 
@@ -205,20 +192,7 @@ def eliminate_all(system, variables, prune=True, lp_prune_threshold=None,
         if costs[var][0] >= 0 and kernel != KERNEL_REFERENCE:
             # No equality mentions any remaining variable: every step
             # from here on is pure combination — run them all in the
-            # row kernel (or its vectorized array twin) and
-            # materialize once.
-            if kernel == KERNEL_ARRAY:
-                from repro.linalg.array_kernel import (
-                    ArrayKernelUnavailable,
-                    eliminate_all_array,
-                )
-
-                try:
-                    return eliminate_all_array(
-                        current, remaining, prune, lp_prune_threshold
-                    )
-                except ArrayKernelUnavailable:
-                    pass  # machine arithmetic refused: exact path below
+            # row kernel and materialize once.
             return _kernel_eliminate_all(
                 current, remaining, prune, lp_prune_threshold
             )
@@ -321,29 +295,7 @@ def eliminate_all_tracked(
     instead.  A final exact LP prune (small by then) yields a tidy
     result.
     """
-    kernel = _validate_kernel(kernel)
-    pre_pruned = False
-    if kernel == KERNEL_ARRAY:
-        from repro.linalg.array_kernel import (
-            ArrayKernelUnavailable,
-            tracked_project_array,
-        )
-
-        try:
-            # The array path applies prune_redundant's cheap dominance
-            # pass in array space, before row materialization — the
-            # object-level cheap pass below would be an identity.
-            result = tracked_project_array(
-                system, variables, max_rows=max_rows, prune_final=True
-            )
-            pre_pruned = True
-        except ArrayKernelUnavailable:
-            # numpy missing or machine arithmetic refused: rerun the
-            # whole projection on the exact integer path (both are
-            # deterministic, so the output is the one the array path
-            # would have produced).
-            result = tracked_project(system, variables, max_rows=max_rows)
-    elif kernel == KERNEL_INT:
+    if _validate_kernel(kernel) == KERNEL_INT:
         result = tracked_project(system, variables, max_rows=max_rows)
     else:
         result = _reference_tracked(system, variables, max_rows)
@@ -351,13 +303,8 @@ def eliminate_all_tracked(
     # results that are already small (the quadratic pass on a big
     # system would dominate everything else).
     if final_lp_prune and 1 < len(result) <= 60:
-        result = (
-            _prune_with_lp(result) if pre_pruned
-            else prune_redundant(result, use_lp=True)
-        )
-    elif not pre_pruned:
-        result = prune_redundant(result)
-    return result
+        return prune_redundant(result, use_lp=True)
+    return prune_redundant(result)
 
 
 def _reference_tracked(system, variables, max_rows):

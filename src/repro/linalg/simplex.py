@@ -10,8 +10,9 @@ Fourier–Motzkin, but we also need a numeric LP solver for
 - polyhedron emptiness / entailment in inter-argument inference,
 - exact LP-based redundancy pruning (ablation).
 
-Everything is :class:`fractions.Fraction` arithmetic with Bland's rule,
-so the solver is exact and cannot cycle.
+The tableau pivots fraction-free on Python integers (Bareiss) under
+Bland's rule, so the solver is exact and cannot cycle; values, duals,
+and assignments come back as :class:`fractions.Fraction`.
 
 Conventions
 -----------
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from repro.errors import InfeasibleError, UnboundedError
-from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
 from repro.obs import METRICS
 
@@ -60,39 +60,7 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def _make_tableau(objective, rows, sense, nonnegative, kernel=None):
-    """The tableau implementation the resolved kernel selects.
-
-    ``kernel="array"`` uses the fraction-free int64 numpy tableau with
-    whole-matrix pivot updates when numpy is importable; otherwise
-    (and for ``"int"``/``"reference"``) the Fraction list-of-lists
-    tableau runs.  The pivot sequence — and therefore every verdict,
-    witness, and dual — is identical either way: Bland's selections
-    are reproduced exactly from integer signs and cross-multiplied
-    ratio tests.
-    """
-    from repro.linalg.fourier_motzkin import KERNEL_ARRAY, _validate_kernel
-
-    if _validate_kernel(kernel) == KERNEL_ARRAY:
-        from repro.linalg.array_kernel import (
-            ArrayKernelUnavailable,
-            numpy_available,
-        )
-
-        if numpy_available():
-            try:
-                return _ArrayStandardForm(
-                    objective, rows, sense, nonnegative
-                )
-            except ArrayKernelUnavailable:
-                pass  # counted by the raiser; run the Fraction tableau
-        elif METRICS.enabled:
-            METRICS.counter("simplex.array.fallbacks.unavailable").inc()
-    return _StandardForm(objective, rows, sense, nonnegative)
-
-
-def solve_lp(objective, constraints, sense="min", nonnegative=(),
-             kernel=None):
+def solve_lp(objective, constraints, sense="min", nonnegative=()):
     """Optimize *objective* subject to *constraints*.
 
     Parameters
@@ -106,19 +74,12 @@ def solve_lp(objective, constraints, sense="min", nonnegative=(),
     nonnegative:
         Iterable of variable names constrained to be >= 0, or the
         string ``"all"``.
-    kernel:
-        ``None`` (follow the process default), ``"int"``,
-        ``"reference"``, or ``"array"`` (numpy tableau, exact).
     """
-    if isinstance(constraints, ConstraintSystem):
-        rows = list(constraints)
-    else:
-        rows = list(constraints)
+    rows = list(constraints)
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
 
-    problem = _make_tableau(objective, rows, sense, nonnegative, kernel)
-    result = problem.solve()
+    result = _Tableau(objective, rows, sense, nonnegative).solve()
     if METRICS.enabled:
         METRICS.counter("simplex.solves").inc()
         METRICS.counter("simplex.pivots").inc(result.pivots)
@@ -172,82 +133,82 @@ def entails(constraints, candidate, nonnegative=()):
     return result.value >= 0
 
 
-class _StandardForm:
-    """Builds the tableau and runs the two phases."""
+class _Tableau:
+    """Fraction-free integer tableau; builds it and runs the two phases.
+
+    Column layout: for each variable either one column (nonnegative)
+    or a +/- pair (free); then one slack per inequality; then one
+    artificial per row, so the artificial columns come last.
+
+    The rows ``A`` (right-hand side last) keep the invariant
+    ``A = p * T``, where ``T`` is the exact rational tableau and ``p``
+    the previous pivot element (``p = 1`` initially; ``p`` is the
+    determinant of the current basis, so it may be negative).  A pivot
+    is the Bareiss rank-1 update::
+
+        A[i] <- (a_rc * A[i] - a_ic * A[r]) // p     (i != r)
+
+    with exact integer division; row ``r`` keeps its values and
+    ``p <- a_rc``.  Bland's rule reads only signs and ratios of ``T``,
+    which come from integer signs (times the sign of ``p``) and
+    cross-multiplied ratio tests, so the pivot sequence is the one the
+    rational tableau takes.
+    """
 
     def __init__(self, objective, rows, sense, nonnegative):
         self._objective = objective
-        self._rows = rows
         self._sense = sense
-        self._variables = self._collect_variables()
+        variables = set(objective.variables())
+        for row in rows:
+            variables |= row.variables()
+        self._variables = sorted(variables, key=repr)
         if nonnegative == "all":
-            self._nonnegative = set(self._variables)
-        else:
-            self._nonnegative = set(nonnegative)
+            nonnegative = self._variables
+        nonnegative = set(nonnegative)
 
-        # Column layout: for each variable either one column (nonneg)
-        # or a +/- pair (free); then one slack per inequality; then one
-        # artificial per row.
-        self._columns = []          # (kind, payload) descriptors
         self._var_columns = {}      # var -> (plus_index, minus_index|None)
+        width = 0
         for var in self._variables:
-            if var in self._nonnegative:
-                self._var_columns[var] = (len(self._columns), None)
-                self._columns.append(("var+", var))
+            if var in nonnegative:
+                self._var_columns[var] = (width, None)
+                width += 1
             else:
-                plus = len(self._columns)
-                self._columns.append(("var+", var))
-                minus = len(self._columns)
-                self._columns.append(("var-", var))
-                self._var_columns[var] = (plus, minus)
-
-        self._build_matrix()
-
-    def _collect_variables(self):
-        names = set(self._objective.variables())
-        for row in self._rows:
-            names |= row.variables()
-        return sorted(names, key=repr)
-
-    def _build_matrix(self):
-        num_structural = len(self._columns)
+                self._var_columns[var] = (width, width + 1)
+                width += 2
         slack_of_row = {}
-        for i, row in enumerate(self._rows):
+        for i, row in enumerate(rows):
             if not row.is_equality():
-                slack_of_row[i] = num_structural
-                self._columns.append(("slack", i))
-                num_structural += 1
-        self._artificial_of_row = {}
-        for i in range(len(self._rows)):
-            self._artificial_of_row[i] = num_structural
-            self._columns.append(("artificial", i))
-            num_structural += 1
-        self._num_columns = num_structural
+                slack_of_row[i] = width
+                width += 1
+        self._first_artificial = width
+        self._num_columns = width + len(rows)
 
-        matrix = []
-        rhs = []
-        basis = []
+        # Constraint rows are gcd-normalized integer rows, so the
+        # tableau starts integral with p = 1.
+        self._A = []
+        self._basis = []
         self._row_sign = []
-        for i, row in enumerate(self._rows):
+        for i, row in enumerate(rows):
             # Row as written: linear . x  (relation)  -const
-            coeffs = [Fraction(0)] * self._num_columns
+            coeffs = [0] * (self._num_columns + 1)
             for var, coeff in row.expr.items():
+                assert coeff.denominator == 1, "non-integer constraint row"
                 plus, minus = self._var_columns[var]
-                coeffs[plus] += coeff
+                coeffs[plus] += coeff.numerator
                 if minus is not None:
-                    coeffs[minus] -= coeff
-            right = -row.expr.const
+                    coeffs[minus] -= coeff.numerator
+            const = row.expr.const
+            assert const.denominator == 1, "non-integer constraint row"
+            coeffs[-1] = -const.numerator
             if i in slack_of_row:
                 # linear . x - s = -const  with s >= 0
-                coeffs[slack_of_row[i]] = Fraction(-1)
+                coeffs[slack_of_row[i]] = -1
             sign = 1
-            if right < 0:
+            if coeffs[-1] < 0:
                 coeffs = [-c for c in coeffs]
-                right = -right
                 sign = -1
-            coeffs[self._artificial_of_row[i]] = Fraction(1)
-            matrix.append(coeffs)
-            rhs.append(right)
+            coeffs[self._first_artificial + i] = 1
+            self._A.append(coeffs)
             self._row_sign.append(sign)
             # When the (sign-normalized) slack enters with +1 it can
             # serve as the initial basic variable — the artificial then
@@ -255,146 +216,157 @@ class _StandardForm:
             # this row.  Its column is still built so dual extraction
             # can read B^-1 from it.
             if i in slack_of_row and coeffs[slack_of_row[i]] == 1:
-                basis.append(slack_of_row[i])
+                self._basis.append(slack_of_row[i])
             else:
-                basis.append(self._artificial_of_row[i])
-        self._matrix = matrix
-        self._rhs = rhs
-        self._basis = basis
+                self._basis.append(self._first_artificial + i)
+        self._p = 1
         self._pivots = 0
 
     # -- cost vectors -------------------------------------------------------------
 
     def _phase1_costs(self):
-        costs = [Fraction(0)] * self._num_columns
-        for column in self._artificial_of_row.values():
-            costs[column] = Fraction(1)
-        return costs
+        return [0] * self._first_artificial + [1] * len(self._A)
 
     def _phase2_costs(self):
+        """The phase-2 costs scaled by a positive integer to ints, and
+        the scale (positive scaling keeps every reduced-cost sign,
+        hence the pivot sequence)."""
         costs = [Fraction(0)] * self._num_columns
-        factor = Fraction(1) if self._sense == "min" else Fraction(-1)
+        factor = 1 if self._sense == "min" else -1
         for var, coeff in self._objective.items():
             plus, minus = self._var_columns[var]
             costs[plus] += factor * coeff
             if minus is not None:
                 costs[minus] -= factor * coeff
-        return costs
+        scale = lcm(*(value.denominator for value in costs))
+        return [int(value * scale) for value in costs], scale
 
-    # -- simplex machinery -----------------------------------------------------------
+    # -- simplex machinery --------------------------------------------------------
 
-    def _reduced_costs(self, costs):
-        reduced = list(costs)
-        for r, basic_column in enumerate(self._basis):
-            basic_cost = costs[basic_column]
-            if basic_cost == 0:
-                continue
-            for j, value in enumerate(self._matrix[r]):
-                if value:
-                    reduced[j] -= basic_cost * value
-        return reduced
+    def _cost_row(self, costs):
+        """``p * (c - c_B T)`` over every column and the right-hand
+        side: the reduced costs times ``p``, then minus ``p`` times the
+        objective value."""
+        row = [self._p * value for value in costs] + [0]
+        for basic, values in zip(self._basis, self._A):
+            cost = costs[basic]
+            if cost:
+                row = [x - cost * v for x, v in zip(row, values)]
+        return row
 
-    def _objective_value(self, costs):
-        return sum(
-            costs[self._basis[r]] * self._rhs[r]
-            for r in range(len(self._rhs))
-        )
+    def _pivot(self, pivot_row, pivot_column, cost_row=None):
+        """One Bareiss pivot, in place, over every other row (and
+        *cost_row*):
+        ``row <- (a_rc * row - row[c] * A[r]) // p``.
 
-    def _pivot(self, pivot_row, pivot_column):
-        matrix, rhs = self._matrix, self._rhs
-        pivot_value = matrix[pivot_row][pivot_column]
-        inverse = Fraction(1) / pivot_value
-        matrix[pivot_row] = [c * inverse for c in matrix[pivot_row]]
-        rhs[pivot_row] *= inverse
-        pivot_row_values = matrix[pivot_row]
-        # Only the pivot row's nonzero columns change in other rows —
-        # exploiting that sparsity is the difference between usable and
-        # unusable on the redundancy-pruning workload.
-        touched = [
-            j for j, value in enumerate(pivot_row_values) if value
-        ]
-        for r in range(len(matrix)):
-            if r == pivot_row:
-                continue
-            factor = matrix[r][pivot_column]
-            if factor == 0:
-                continue
-            row = matrix[r]
-            for j in touched:
-                row[j] -= factor * pivot_row_values[j]
-            rhs[r] -= factor * rhs[pivot_row]
+        The division is exact: every entry of the result is a minor of
+        the original integer matrix.
+        """
+        A = self._A
+        pivot_values = A[pivot_row]
+        pivot_value = pivot_values[pivot_column]
+        p = self._p
+        rows = [row for r, row in enumerate(A) if r != pivot_row]
+        if cost_row is not None:
+            rows.append(cost_row)
+        if pivot_value == p:
+            # No rescaling: a row changes only where the pivot row is
+            # nonzero, and only if it meets the pivot column.
+            support = [(j, w) for j, w in enumerate(pivot_values) if w]
+            for row in rows:
+                factor = row[pivot_column]
+                if factor:
+                    for j, w in support:
+                        row[j] -= factor * w // p
+        else:
+            for row in rows:
+                factor = row[pivot_column]
+                if factor:
+                    row[:] = [
+                        (v * pivot_value - factor * w) // p
+                        for v, w in zip(row, pivot_values)
+                    ]
+                else:
+                    row[:] = [v * pivot_value // p for v in row]
+        self._p = pivot_value
         self._basis[pivot_row] = pivot_column
         self._pivots += 1
 
     def _run_simplex(self, costs, allow_artificial):
         """Bland's rule loop; returns 'optimal' or 'unbounded'."""
-        artificial_columns = set(self._artificial_of_row.values())
+        A = self._A
+        columns = (
+            self._num_columns if allow_artificial else self._first_artificial
+        )
+        cost_row = self._cost_row(costs)
         while True:
-            reduced = self._reduced_costs(costs)
-            entering = None
-            for j in range(self._num_columns):
-                if not allow_artificial and j in artificial_columns:
-                    continue
-                if reduced[j] < 0:
-                    entering = j
-                    break
+            # rho[j] < 0 iff cost_row[j] and p have opposite signs, and
+            # T[r][e] > 0 iff A[r][e] and p have the same sign.
+            sign = 1 if self._p > 0 else -1
+            entering = next(
+                (j for j in range(columns) if cost_row[j] * sign < 0), None
+            )
             if entering is None:
                 return OPTIMAL
             leaving = None
-            best_ratio = None
-            for r in range(len(self._matrix)):
-                coefficient = self._matrix[r][entering]
-                if coefficient > 0:
-                    ratio = self._rhs[r] / coefficient
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (
-                            ratio == best_ratio
-                            and self._basis[r] < self._basis[leaving]
-                        )
+            for r, row in enumerate(A):
+                denominator = row[entering]
+                if denominator * sign <= 0:
+                    continue
+                # The ratio is row[-1] / denominator; all eligible
+                # denominators share p's sign, so cross-multiplying
+                # preserves the order.  Ties go to the smaller basic
+                # column.
+                numerator = row[-1]
+                if leaving is not None:
+                    left = numerator * best_d
+                    right = best_n * denominator
+                    if left > right or (
+                        left == right
+                        and self._basis[r] > self._basis[leaving]
                     ):
-                        best_ratio = ratio
-                        leaving = r
+                        continue
+                best_n, best_d, leaving = numerator, denominator, r
             if leaving is None:
                 return UNBOUNDED
-            self._pivot(leaving, entering)
+            self._pivot(leaving, entering, cost_row)
 
     def _drive_out_artificials(self):
         """After phase 1, pivot artificials out of the basis when
         possible; rows where it is impossible are redundant (all-zero)."""
-        artificial_columns = set(self._artificial_of_row.values())
-        for r in range(len(self._matrix)):
-            if self._basis[r] not in artificial_columns:
+        first = self._first_artificial
+        for r in range(len(self._A)):
+            if self._basis[r] < first:
                 continue
-            pivot_column = None
-            for j in range(self._num_columns):
-                if j in artificial_columns:
-                    continue
-                if self._matrix[r][j] != 0:
-                    pivot_column = j
+            row = self._A[r]
+            for j in range(first):
+                if row[j]:
+                    self._pivot(r, j)
                     break
-            if pivot_column is not None:
-                self._pivot(r, pivot_column)
 
-    # -- solve -------------------------------------------------------------------------
+    # -- solve --------------------------------------------------------------------
 
     def solve(self):
         """Run phase 1 and phase 2; return an LPResult."""
-        phase1_costs = self._phase1_costs()
-        status = self._run_simplex(phase1_costs, allow_artificial=True)
-        if status != OPTIMAL or self._objective_value(phase1_costs) > 0:
+        status = self._run_simplex(self._phase1_costs(), allow_artificial=True)
+        # Phase-1 pivot entries share p's sign, so p > 0 here and the
+        # artificials' total value has the sign of their A[:, rhs] sum.
+        infeasibility = sum(
+            row[-1] for basic, row in zip(self._basis, self._A)
+            if basic >= self._first_artificial
+        )
+        if status != OPTIMAL or infeasibility > 0:
             return LPResult(status=INFEASIBLE, pivots=self._pivots)
         self._drive_out_artificials()
 
-        phase2_costs = self._phase2_costs()
-        status = self._run_simplex(phase2_costs, allow_artificial=False)
+        costs, scale = self._phase2_costs()
+        status = self._run_simplex(costs, allow_artificial=False)
         if status == UNBOUNDED:
             return LPResult(status=UNBOUNDED, pivots=self._pivots)
 
         assignment = self._extract_assignment()
         value = self._objective.evaluate(assignment)
-        duals = self._extract_duals(phase2_costs)
+        duals = self._extract_duals(costs, scale)
         return LPResult(
             status=OPTIMAL, value=value, assignment=assignment, duals=duals,
             pivots=self._pivots,
@@ -402,8 +374,8 @@ class _StandardForm:
 
     def _extract_assignment(self):
         column_values = [Fraction(0)] * self._num_columns
-        for r, column in enumerate(self._basis):
-            column_values[column] = self._rhs[r]
+        for column, row in zip(self._basis, self._A):
+            column_values[column] = Fraction(row[-1], self._p)
         assignment = {}
         for var in self._variables:
             plus, minus = self._var_columns[var]
@@ -413,515 +385,23 @@ class _StandardForm:
             assignment[var] = value
         return assignment
 
-    def _extract_duals(self, costs):
+    def _extract_duals(self, costs, scale):
         """y_i = c_B . (B^-1 e_i), read from the artificial columns.
 
-        Adjusted for row sign normalization and for sense=max (where the
-        tableau optimizes the negated objective).
+        *costs* are the phase-2 costs times *scale*.  Adjusted for row
+        sign normalization and for sense=max (where the tableau
+        optimizes the negated objective).
         """
         duals = {}
-        factor = Fraction(1) if self._sense == "min" else Fraction(-1)
-        for i, column in self._artificial_of_row.items():
-            y = sum(
-                costs[self._basis[r]] * self._matrix[r][column]
-                for r in range(len(self._matrix))
-            )
-            duals[i] = factor * self._row_sign[i] * y
+        factor = 1 if self._sense == "min" else -1
+        basic_costs = [
+            (costs[basic], row) for basic, row in zip(self._basis, self._A)
+            if costs[basic]
+        ]
+        denominator = self._p * scale
+        for i in range(len(self._A)):
+            column = self._first_artificial + i
+            y = sum(cost * row[column] for cost, row in basic_costs)
+            duals[i] = Fraction(factor * self._row_sign[i] * y, denominator)
         return duals
 
-
-class _TableauOverflow(Exception):
-    """Integer tableau entries would exceed the int64 guard."""
-
-
-_INT64_GUARD = 1 << 62
-
-
-class _ArrayStandardForm(_StandardForm):
-    """Fraction-free integer tableau on int64 numpy arrays.
-
-    Keeps ``A = p * T`` where ``T`` is the exact Fraction tableau of
-    :class:`_StandardForm` and ``p`` is the previous pivot element
-    (Bareiss-style integer pivoting, ``p = 1`` initially).  One pivot
-    is a whole-matrix rank-1 update::
-
-        A <- (A * a_rc - outer(A[:, c], A[r, :])) // p ;  A[r] <- old row
-
-    with exact integer division — no rounding ever happens.  Bland's
-    entering/leaving selections are reproduced from integer signs and
-    cross-multiplied ratio comparisons, so the pivot *sequence* equals
-    the Fraction tableau's and every verdict, witness, value, and dual
-    is byte-identical.  Entry growth is guarded against int64
-    overflow; :meth:`solve` falls back to the serial Fraction tableau
-    when the guard trips (deterministic, so the outcome is unchanged).
-    """
-
-    def __init__(self, objective, rows, sense, nonnegative):
-        from repro.linalg.array_kernel import (
-            ArrayKernelUnavailable,
-            require_numpy,
-        )
-
-        self._np = require_numpy()
-        super().__init__(objective, rows, sense, nonnegative)
-        np = self._np
-        for row_values, right in zip(self._matrix, self._rhs):
-            for value in list(row_values) + [right]:
-                if value.denominator != 1:
-                    if METRICS.enabled:
-                        METRICS.counter(
-                            "simplex.array.fallbacks.unavailable"
-                        ).inc()
-                    raise ArrayKernelUnavailable(
-                        "unavailable", "non-integer tableau entry"
-                    )
-        try:
-            self._A = np.array(
-                [
-                    [int(value) for value in row_values] + [int(right)]
-                    for row_values, right in zip(self._matrix, self._rhs)
-                ],
-                dtype=np.int64,
-            )
-        except OverflowError:
-            if METRICS.enabled:
-                METRICS.counter("simplex.array.fallbacks.overflow").inc()
-            raise ArrayKernelUnavailable(
-                "overflow", "tableau entry exceeds int64"
-            ) from None
-        self._A = self._A.reshape(len(self._rhs), self._num_columns + 1)
-        self._p = 1
-        if METRICS.enabled:
-            METRICS.counter("simplex.array.tableaus").inc()
-
-    # -- integer machinery --------------------------------------------------------
-
-    def _max_entry(self):
-        return int(self._np.abs(self._A).max()) if self._A.size else 0
-
-    def _ipivot(self, pivot_row, pivot_column):
-        """One Bareiss pivot as whole-matrix int64 array updates."""
-        np = self._np
-        A = self._A
-        peak = self._max_entry()
-        if 2 * peak * peak >= _INT64_GUARD:
-            raise _TableauOverflow
-        pivot_value = int(A[pivot_row, pivot_column])
-        column = A[:, pivot_column].copy()
-        row_values = A[pivot_row].copy()
-        A *= pivot_value
-        A -= np.outer(column, row_values)
-        A //= self._p          # exact: every entry is divisible by p
-        A[pivot_row] = row_values
-        self._p = pivot_value
-        self._basis[pivot_row] = pivot_column
-        self._pivots += 1
-
-    def _int_costs(self, costs):
-        """*costs* (Fractions) scaled by a positive integer to int64.
-
-        Positive scaling preserves every reduced-cost sign, so the
-        entering choices — and hence the pivot sequence — match the
-        unscaled Fraction run.
-        """
-        scale = 1
-        for value in costs:
-            scale = scale * value.denominator // gcd(
-                scale, value.denominator
-            )
-        return [int(value * scale) for value in costs]
-
-    def _ireduced(self, int_costs):
-        """``s * p * (c - c_B T)`` — the reduced costs up to the
-        positive factor ``s`` and the tracked-sign factor ``p``."""
-        np = self._np
-        A = self._A
-        rows = len(self._basis)
-        basic = [int_costs[column] for column in self._basis]
-        cost_peak = max(
-            (abs(value) for value in int_costs), default=0
-        )
-        bound = cost_peak * (abs(self._p) + rows * self._max_entry())
-        if bound >= _INT64_GUARD:
-            raise _TableauOverflow
-        reduced = np.array(int_costs, dtype=np.int64) * self._p
-        if rows:
-            reduced -= np.array(basic, dtype=np.int64) @ A[:, :-1]
-        return reduced
-
-    def _irun(self, int_costs, allow_artificial):
-        """Bland's rule on the integer tableau."""
-        np = self._np
-        artificial_columns = set(self._artificial_of_row.values())
-        blocked = np.zeros(self._num_columns, dtype=bool)
-        if not allow_artificial:
-            for column in artificial_columns:
-                blocked[column] = True
-        while True:
-            reduced = self._ireduced(int_costs)
-            # rho[j] < 0  <=>  sign(reduced[j]) opposite to sign(p)
-            negative = reduced < 0 if self._p > 0 else reduced > 0
-            negative &= ~blocked
-            candidates = np.nonzero(negative)[0]
-            if not len(candidates):
-                return OPTIMAL
-            entering = int(candidates[0])
-            sp = 1 if self._p > 0 else -1
-            column = self._A[:, entering]
-            right = self._A[:, -1]
-            leaving = None
-            best_n = best_d = None
-            for r in range(len(self._basis)):
-                denominator = int(column[r]) * sp
-                if denominator <= 0:
-                    continue
-                numerator = int(right[r]) * sp
-                if (
-                    leaving is None
-                    or numerator * best_d < best_n * denominator
-                    or (
-                        numerator * best_d == best_n * denominator
-                        and self._basis[r] < self._basis[leaving]
-                    )
-                ):
-                    best_n = numerator
-                    best_d = denominator
-                    leaving = r
-            if leaving is None:
-                return UNBOUNDED
-            self._ipivot(leaving, entering)
-
-    def _idrive_out_artificials(self):
-        artificial_columns = set(self._artificial_of_row.values())
-        for r in range(len(self._basis)):
-            if self._basis[r] not in artificial_columns:
-                continue
-            for j in range(self._num_columns):
-                if j in artificial_columns:
-                    continue
-                if self._A[r, j] != 0:
-                    self._ipivot(r, j)
-                    break
-
-    def _materialize(self):
-        """Write ``T = A / p`` back into the Fraction fields so the
-        serial extraction helpers read the exact tableau."""
-        p = self._p
-        self._matrix = [
-            [Fraction(int(value), p) for value in row_values[:-1]]
-            for row_values in self._A
-        ]
-        self._rhs = [
-            Fraction(int(row_values[-1]), p) for row_values in self._A
-        ]
-
-    # -- solve --------------------------------------------------------------------
-
-    def solve(self):
-        """Run both phases on the integer tableau; fall back to the
-        Fraction tableau when entries would overflow int64."""
-        try:
-            return self._solve_array()
-        except _TableauOverflow:
-            if METRICS.enabled:
-                METRICS.counter("simplex.array.fallbacks.overflow").inc()
-            fallback = _StandardForm(
-                self._objective, self._rows, self._sense,
-                self._nonnegative,
-            )
-            return fallback.solve()
-
-    def _solve_array(self):
-        phase1_costs = self._phase1_costs()
-        phase1_ints = self._int_costs(phase1_costs)
-        status = self._irun(phase1_ints, allow_artificial=True)
-        if status == OPTIMAL:
-            basic = [phase1_ints[column] for column in self._basis]
-            value_numerator = int(
-                sum(b * int(v) for b, v in zip(basic, self._A[:, -1]))
-            )
-            infeasible = value_numerator != 0 and (
-                (value_numerator > 0) == (self._p > 0)
-            )
-        if status != OPTIMAL or infeasible:
-            return LPResult(status=INFEASIBLE, pivots=self._pivots)
-        self._idrive_out_artificials()
-
-        phase2_costs = self._phase2_costs()
-        status = self._irun(
-            self._int_costs(phase2_costs), allow_artificial=False
-        )
-        if status == UNBOUNDED:
-            return LPResult(status=UNBOUNDED, pivots=self._pivots)
-
-        self._materialize()
-        assignment = self._extract_assignment()
-        value = self._objective.evaluate(assignment)
-        duals = self._extract_duals(phase2_costs)
-        return LPResult(
-            status=OPTIMAL, value=value, assignment=assignment,
-            duals=duals, pivots=self._pivots,
-        )
-
-
-def feasible_point_batch(systems, nonnegative=(), kernel=None,
-                         with_pivots=False):
-    """Batched feasibility: one :func:`feasible_point`-equivalent
-    result per system, grouped into lockstep multi-tableau solves.
-
-    Same-shape phase-1 integer tableaus are stacked into one
-    ``(tableaus, rows, columns)`` int64 array; each round performs
-    every active tableau's next Bland pivot as a single batched rank-1
-    update.  Entering/leaving selection per tableau depends only on
-    that tableau's own state, so each walks exactly the pivot sequence
-    the serial solver would — the returned assignments are
-    byte-identical to per-system ``feasible_point`` calls (pinned by
-    the differential property tests).  A tableau whose entries would
-    overflow int64 is ejected from its group and re-solved serially.
-
-    Falls back to plain serial solves unless the resolved kernel is
-    ``"array"`` and numpy is importable.  Returns a list of
-    ``{var: Fraction}`` assignments (None per infeasible system); with
-    *with_pivots* each entry is an ``(assignment, pivots)`` pair
-    instead.
-    """
-    from repro.linalg.fourier_motzkin import KERNEL_ARRAY, _validate_kernel
-
-    systems = list(systems)
-    use_array = _validate_kernel(kernel) == KERNEL_ARRAY
-    if use_array:
-        from repro.linalg.array_kernel import numpy_available
-
-        use_array = numpy_available()
-    if not use_array or len(systems) < 2:
-        if METRICS.enabled and systems:
-            METRICS.counter("simplex.batch.serial_fallbacks").inc()
-        serial = [
-            solve_lp(LinearExpr.constant(0), s, nonnegative=nonnegative)
-            for s in systems
-        ]
-        outcomes = [
-            (r.assignment if r.status == OPTIMAL else None, r.pivots)
-            for r in serial
-        ]
-        if with_pivots:
-            return outcomes
-        return [assignment for assignment, _ in outcomes]
-
-    from repro.linalg.array_kernel import require_numpy
-
-    np = require_numpy()
-    zero = LinearExpr.constant(0)
-    problems = [
-        _StandardForm(zero, list(system), "min", nonnegative)
-        for system in systems
-    ]
-    groups = {}
-    for position, problem in enumerate(problems):
-        shape = (len(problem._rhs), problem._num_columns)
-        groups.setdefault(shape if shape[0] else None, []).append(position)
-    if METRICS.enabled:
-        METRICS.counter("simplex.batch.dispatches").inc()
-        METRICS.counter("simplex.batch.requests").inc(len(systems))
-        METRICS.counter("simplex.batch.groups").inc(len(groups))
-        METRICS.histogram("simplex.batch.group_size").observe(
-            max(len(members) for members in groups.values())
-        )
-
-    results = [None] * len(systems)
-    for shape, members in groups.items():
-        overflowed = list(members)
-        if shape is not None and len(members) > 1:
-            lockstepped = _run_phase1_lockstep(
-                np, [problems[p] for p in members]
-            )
-            overflowed = [
-                position for position, ok in zip(members, lockstepped)
-                if not ok
-            ]
-            for position, ok in zip(members, lockstepped):
-                if ok:
-                    results[position] = (
-                        _finish_phase1(problems[position]),
-                        problems[position]._pivots,
-                    )
-        for position in overflowed:
-            # Ejected (or singleton/zero-row) tableaus re-solve from
-            # scratch on the serial Fraction path.
-            if METRICS.enabled and shape is not None and len(members) > 1:
-                METRICS.counter("simplex.batch.ejected").inc()
-            outcome = solve_lp(
-                LinearExpr.constant(0), systems[position],
-                nonnegative=nonnegative,
-            )
-            results[position] = (
-                outcome.assignment if outcome.status == OPTIMAL else None,
-                outcome.pivots,
-            )
-    if with_pivots:
-        return results
-    return [assignment for assignment, _ in results]
-
-
-def _run_phase1_lockstep(np, problems):
-    """Drive phase 1 of same-shape integer tableaus with batched
-    pivots; returns one ``ok`` flag per problem (False = ejected on
-    int64 overflow, its state is untrusted).
-
-    On success a problem's ``_matrix``/``_rhs``/``_basis`` hold
-    exactly the Fraction tableau serial phase 1 would leave (phase-1
-    pivot elements are positive, so the Bareiss scalar ``p`` stays
-    positive and all sign tests are direct).
-    """
-    count = len(problems)
-    rows = len(problems[0]._rhs)
-    stack = np.array(
-        [
-            [
-                [int(value) for value in row_values] + [int(right)]
-                for row_values, right in zip(p._matrix, p._rhs)
-            ]
-            for p in problems
-        ],
-        dtype=np.int64,
-    )
-    scalars = [1] * count
-    costs = [p._phase1_costs() for p in problems]
-    int_costs = np.array(
-        [[int(value) for value in cost] for cost in costs],
-        dtype=np.int64,
-    )
-    basis = [p._basis for p in problems]
-    columns = problems[0]._num_columns
-    active = list(range(count))
-    ok = [True] * count
-    while active:
-        act = np.array(active)
-        peak = int(np.abs(stack[act]).max())
-        if max(scalars[t] for t in active) + rows * peak >= _INT64_GUARD:
-            # Reduced-cost accumulation could wrap: eject the whole
-            # remainder of the group (rare; re-solved serially).
-            for t in active:
-                ok[t] = False
-            break
-        basic_costs = np.array(
-            [[int_costs[t][column] for column in basis[t]] for t in active],
-            dtype=np.int64,
-        )
-        reduced = (
-            int_costs[act] * np.array(
-                [scalars[t] for t in active], dtype=np.int64
-            )[:, None]
-            - np.einsum("tm,tmn->tn", basic_costs, stack[act, :, :-1])
-        )
-        pivot_tableaus = []
-        pivot_rows = []
-        pivot_columns = []
-        for k, t in enumerate(list(active)):
-            negative = np.nonzero(reduced[k] < 0)[0]
-            if not len(negative):
-                active.remove(t)
-                continue
-            entering = int(negative[0])
-            column = stack[t, :, entering]
-            right = stack[t, :, -1]
-            leaving = None
-            best_n = best_d = None
-            for r in range(rows):
-                denominator = int(column[r])
-                if denominator <= 0:
-                    continue
-                numerator = int(right[r])
-                if (
-                    leaving is None
-                    or numerator * best_d < best_n * denominator
-                    or (
-                        numerator * best_d == best_n * denominator
-                        and basis[t][r] < basis[t][leaving]
-                    )
-                ):
-                    best_n = numerator
-                    best_d = denominator
-                    leaving = r
-            if leaving is None:
-                # Phase 1 is bounded below by 0 — unreachable; eject
-                # so the serial path reports whatever it reports.
-                ok[t] = False
-                active.remove(t)
-                continue
-            pivot_tableaus.append(t)
-            pivot_rows.append(leaving)
-            pivot_columns.append(entering)
-        if not pivot_tableaus:
-            continue
-        safe = []
-        for t, r, c in zip(pivot_tableaus, pivot_rows, pivot_columns):
-            tableau_peak = int(np.abs(stack[t]).max())
-            if 2 * tableau_peak * tableau_peak >= _INT64_GUARD:
-                ok[t] = False
-                active.remove(t)
-            else:
-                safe.append((t, r, c))
-        if not safe:
-            continue
-        ids = np.array([t for t, _, _ in safe])
-        prow = np.array([r for _, r, _ in safe])
-        pcol = np.array([c for _, _, c in safe])
-        span = np.arange(len(ids))
-        pivot_values = stack[ids, prow, pcol].copy()
-        old_columns = stack[ids][span, :, pcol].copy()
-        old_rows = stack[ids, prow, :].copy()
-        scalar_vector = np.array(
-            [scalars[t] for t in ids], dtype=np.int64
-        )
-        block = stack[ids] * pivot_values[:, None, None]
-        block -= old_columns[:, :, None] * old_rows[:, None, :]
-        block //= scalar_vector[:, None, None]   # exact division
-        block[span, prow, :] = old_rows
-        stack[ids] = block
-        for t, r, c in safe:
-            scalars[t] = int(stack[t, r, c])
-            basis[t][r] = c
-            problems[t]._pivots += 1
-        if METRICS.enabled:
-            METRICS.counter("simplex.batch.pivots").inc(len(ids))
-    for t, problem in enumerate(problems):
-        if not ok[t]:
-            continue
-        p = scalars[t]
-        problem._matrix = [
-            [Fraction(int(value), p) for value in row_values[:-1]]
-            for row_values in stack[t]
-        ]
-        problem._rhs = [
-            Fraction(int(row_values[-1]), p) for row_values in stack[t]
-        ]
-    return ok
-
-
-def _finish_phase1(problem):
-    """Run a problem's post-phase-1 epilogue; return its witness.
-
-    Re-entering the serial phase-1 loop is a no-op continuation for
-    lockstep-finished tableaus (no reduced cost is negative); then
-    artificials are driven out, the trivial zero-objective phase 2
-    run, and the assignment extracted by the serial code — so the
-    outcome agrees with :func:`feasible_point` by construction.
-    """
-    phase1_costs = problem._phase1_costs()
-    status = problem._run_simplex(phase1_costs, allow_artificial=True)
-    if status != OPTIMAL or problem._objective_value(phase1_costs) > 0:
-        return None
-    problem._drive_out_artificials()
-    status = problem._run_simplex(
-        problem._phase2_costs(), allow_artificial=False
-    )
-    if status != OPTIMAL:
-        return None
-    if METRICS.enabled:
-        METRICS.counter("simplex.solves").inc()
-        METRICS.counter("simplex.pivots").inc(problem._pivots)
-        METRICS.histogram("simplex.pivots.per_solve").observe(
-            problem._pivots
-        )
-    return problem._extract_assignment()

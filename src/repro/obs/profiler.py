@@ -15,7 +15,7 @@ than only in offline runs (``repro-analyze --profile-out``).
 
 Caveats, stated rather than hidden: ``sys._current_frames`` is
 CPython-specific; samples are taken at bytecode boundaries, so a
-single long-running C call (sqlite, numpy) shows up as one hot frame
+single long-running C call (a sqlite query) shows up as one hot frame
 rather than its internals; and wall-clock sampling sees blocked
 threads too — a thread waiting on a lock accumulates samples in the
 frame that waits, which is exactly what an operator debugging a stall

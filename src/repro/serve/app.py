@@ -604,7 +604,9 @@ class ServeApp:
                 "error": "%s: %s" % (type(error).__name__, error),
             }), None
         solved = perf_counter()
-        if METRICS.enabled:
+        if METRICS.enabled and timings.get("pid") != os.getpid():
+            # A worker process counted into its own registry; a solve
+            # on the in-process serial lane already counted into ours.
             METRICS.merge_snapshot(delta)
         text = payload_text(payload)
         self.store.put(key, text,

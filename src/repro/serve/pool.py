@@ -29,6 +29,7 @@ the CLI's main thread.
 
 from __future__ import annotations
 
+import os
 import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -91,8 +92,9 @@ def solve_wire(wire, timeout=None, cache_dir=None, request_id=None):
     merges it, so ``GET /v1/metrics`` aggregates over all workers), a
     ``{"reused": n, "reproved": n, "rejected": n}`` summary of per-SCC
     certificate reuse (zeros when no cache is in play), and a
-    ``{"solve_ms": f}`` timing dict the server folds into the
-    request's access-log latency breakdown.  Module-level and
+    ``{"solve_ms": f, "pid": n}`` dict: the timing the server folds
+    into the request's access-log latency breakdown, and the process
+    that solved (the server merges only deltas from other processes).  Module-level and
     argument-picklable on purpose: this is the function the process
     pool imports by name.
 
@@ -139,7 +141,10 @@ def solve_wire(wire, timeout=None, cache_dir=None, request_id=None):
             "reproved": result.sccs_reproved,
             "rejected": result.sccs_rejected,
         },
-        {"solve_ms": (perf_counter() - solve_started) * 1000},
+        {
+            "solve_ms": (perf_counter() - solve_started) * 1000,
+            "pid": os.getpid(),
+        },
     )
 
 

@@ -12,7 +12,6 @@ Importing this package registers both built-in backends.
 """
 
 from repro.solve.backend import (
-    BatchLPBackend,
     LPBackend,
     SolveOutcome,
     SolveStats,
@@ -24,7 +23,6 @@ from repro.solve.simplex_backend import SimplexBackend
 from repro.solve.fm_backend import FourierMotzkinBackend
 
 __all__ = [
-    "BatchLPBackend",
     "LPBackend",
     "SolveOutcome",
     "SolveStats",

@@ -13,8 +13,8 @@ Backends self-register by name; :func:`get_backend` resolves a
 ``feasibility`` setting string to an instance at analyzer construction
 time, so an unknown backend fails fast with one clear
 :class:`~repro.errors.AnalysisError` instead of erroring mid-SCC.
-Future scaling work (batched solves, parallel SCCs, external LP
-libraries) plugs in here without touching the analysis skeleton.
+Future scaling work (parallel SCCs, external LP libraries) plugs in
+here without touching the analysis skeleton.
 """
 
 from __future__ import annotations
@@ -64,10 +64,8 @@ class LPBackend:
 
     Construction keyword options are backend-specific (unknown ones
     are ignored so one settings object can configure any backend);
-    :meth:`feasible_point` is the single entry point.  Backends also
-    satisfy the :class:`BatchLPBackend` protocol through the default
-    serial :meth:`feasible_points`; implementations with a genuinely
-    vectorized multi-solve override it.
+    :meth:`feasible_point` is the single entry point;
+    :meth:`feasible_points` decides several systems in one call.
     """
 
     name = "abstract"
@@ -80,31 +78,12 @@ class LPBackend:
         raise NotImplementedError
 
     def feasible_points(self, systems):
-        """Decide feasibility of every system; one outcome each.
-
-        The default is the serial fallback — a plain loop over
-        :meth:`feasible_point` — so every backend can be driven
-        through the batched pipeline entry point.  Overrides must
-        return outcomes byte-identical to this loop (order preserved,
-        one :class:`SolveOutcome` per input system).
-        """
+        """Decide feasibility of every system; one outcome each, in
+        order — a plain loop over :meth:`feasible_point`."""
         return [self.feasible_point(system) for system in systems]
 
     def __repr__(self):
         return "<backend %s>" % self.name
-
-
-class BatchLPBackend(LPBackend):
-    """Marker base for backends whose :meth:`feasible_points` batches.
-
-    The contract is unchanged from :class:`LPBackend` — same outcomes
-    as the serial loop — but the pipeline reports batched dispatch in
-    its traces when it sees this type, and tests can assert a backend
-    actually groups solves instead of silently looping.
-    """
-
-    def feasible_points(self, systems):
-        raise NotImplementedError
 
 
 def register_backend(backend_class):

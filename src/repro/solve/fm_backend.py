@@ -20,11 +20,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from repro.linalg.constraints import ConstraintSystem
-from repro.linalg.fourier_motzkin import (
-    KERNEL_ARRAY,
-    KERNEL_REFERENCE,
-    eliminate,
-)
+from repro.linalg.fourier_motzkin import KERNEL_REFERENCE, eliminate
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.rows import StagedEliminator
 from repro.obs import span
@@ -41,11 +37,9 @@ class FourierMotzkinBackend(LPBackend):
     """Option ``prune`` (default True) runs redundancy pruning at every
     elimination step — the analyzer wires ``AnalyzerSettings.prune_fm``
     through here.  Option ``kernel`` (default ``"int"``) selects the
-    integer row kernel, the ``"array"`` vectorized eliminator (falls
-    back to ``"int"`` when numpy is missing or int64 would overflow),
-    or the ``"reference"`` object path.  ``stats.eliminations`` counts
-    eliminated variables, ``stats.rows_out`` the rows surviving full
-    elimination."""
+    integer row kernel or the ``"reference"`` object path.
+    ``stats.eliminations`` counts eliminated variables,
+    ``stats.rows_out`` the rows surviving full elimination."""
 
     name = "fm"
 
@@ -57,12 +51,6 @@ class FourierMotzkinBackend(LPBackend):
         kernel = self.options.get("kernel", "int")
         if kernel == KERNEL_REFERENCE:
             return self._feasible_point_reference(system, prune)
-        if kernel == KERNEL_ARRAY:
-            outcome = self._feasible_point_array(system, prune)
-            if outcome is not None:
-                return outcome
-            # numpy missing or machine arithmetic refused: the exact
-            # integer eliminator below produces the identical outcome.
         with span("solve.fm", kernel="int") as node:
             node.inc("rows_in", len(system))
             started = perf_counter()
@@ -73,45 +61,6 @@ class FourierMotzkinBackend(LPBackend):
                 backend=self.name,
                 rows_in=len(system),
                 rows_out=len(final),
-                variables=len(eliminator.variables),
-                eliminations=len(eliminator.variables),
-            )
-            node.inc("eliminations", stats.eliminations)
-            node.inc("rows_out", stats.rows_out)
-            if eliminator.has_contradiction():
-                stats.wall_time = perf_counter() - started
-                node.set(feasible=False)
-                return SolveOutcome(feasible=False, stats=stats)
-            point = eliminator.witness()
-            stats.wall_time = perf_counter() - started
-            node.set(feasible=True)
-            return SolveOutcome(feasible=True, witness=point, stats=stats)
-
-    def _feasible_point_array(self, system, prune):
-        """The vectorized eliminator; None signals "use the int path".
-
-        Stage contents, verdicts, and witnesses are byte-identical to
-        :class:`StagedEliminator` — the array twin replays the same
-        substitution/combination schedule as whole-block updates.
-        """
-        from repro.linalg.array_kernel import (
-            ArrayKernelUnavailable,
-            ArrayStagedEliminator,
-        )
-
-        with span("solve.fm", kernel="array") as node:
-            node.inc("rows_in", len(system))
-            started = perf_counter()
-            try:
-                eliminator = ArrayStagedEliminator(system)
-                final_flags, _, final_consts = eliminator.run(prune=prune)
-            except ArrayKernelUnavailable:
-                node.set(fallback=True)
-                return None
-            stats = SolveStats(
-                backend=self.name,
-                rows_in=len(system),
-                rows_out=len(final_consts),
                 variables=len(eliminator.variables),
                 eliminations=len(eliminator.variables),
             )

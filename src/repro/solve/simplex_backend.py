@@ -6,10 +6,10 @@ from time import perf_counter
 
 from repro.linalg.constraints import ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
-from repro.linalg.simplex import OPTIMAL, feasible_point_batch, solve_lp
+from repro.linalg.simplex import OPTIMAL, solve_lp
 from repro.obs import span
 from repro.solve.backend import (
-    BatchLPBackend,
+    LPBackend,
     SolveOutcome,
     SolveStats,
     register_backend,
@@ -17,17 +17,11 @@ from repro.solve.backend import (
 
 
 @register_backend
-class SimplexBackend(BatchLPBackend):
+class SimplexBackend(LPBackend):
     """Phase-1 feasibility with a zero objective.
 
     The witness is the basic feasible solution phase 1 lands on;
     ``stats.pivots`` counts tableau pivots across both phases.
-
-    Option ``kernel`` (default ``None`` = follow the process default)
-    selects the tableau implementation passed to the solver;
-    ``"array"`` additionally makes :meth:`feasible_points` dispatch
-    same-shape tableaus as one lockstep multi-tableau solve.  Either
-    way the outcomes are byte-identical to the serial loop.
     """
 
     name = "simplex"
@@ -38,10 +32,7 @@ class SimplexBackend(BatchLPBackend):
             system = ConstraintSystem(system)
         with span("solve.simplex") as node:
             started = perf_counter()
-            result = solve_lp(
-                LinearExpr.constant(0), system,
-                kernel=self.options.get("kernel"),
-            )
+            result = solve_lp(LinearExpr.constant(0), system)
             stats = SolveStats(
                 backend=self.name,
                 rows_in=len(system),
@@ -58,45 +49,3 @@ class SimplexBackend(BatchLPBackend):
             return SolveOutcome(
                 feasible=True, witness=result.assignment, stats=stats
             )
-
-    def feasible_points(self, systems):
-        """Batched feasibility over many systems.
-
-        Routes through :func:`feasible_point_batch`, which groups
-        same-shape tableaus into lockstep multi-tableau solves under
-        ``kernel="array"`` and degrades to serial solves otherwise.
-        One :class:`SolveOutcome` per system, byte-identical to the
-        serial loop.
-        """
-        systems = [
-            system if isinstance(system, ConstraintSystem)
-            else ConstraintSystem(system)
-            for system in systems
-        ]
-        with span("solve.simplex.batch") as node:
-            started = perf_counter()
-            pairs = feasible_point_batch(
-                systems, kernel=self.options.get("kernel"),
-                with_pivots=True,
-            )
-            elapsed = perf_counter() - started
-            node.inc("requests", len(systems))
-            node.inc("pivots", sum(pivots for _, pivots in pairs))
-            outcomes = []
-            for system, (witness, pivots) in zip(systems, pairs):
-                stats = SolveStats(
-                    backend=self.name,
-                    rows_in=len(system),
-                    rows_out=len(system),
-                    variables=len(system.variables()),
-                    pivots=pivots,
-                    wall_time=elapsed / len(systems) if systems else 0.0,
-                )
-                outcomes.append(
-                    SolveOutcome(
-                        feasible=witness is not None,
-                        witness=witness,
-                        stats=stats,
-                    )
-                )
-            return outcomes

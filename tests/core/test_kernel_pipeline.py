@@ -1,10 +1,10 @@
-"""Kernel selection through the analyzer: settings, batched per-SCC
-dispatch, and kernel-independent certificate fingerprints.
+"""Kernel selection through the analyzer: settings and
+kernel-independent certificate fingerprints.
 
-``fm_kernel="array"`` is a pure accelerator — every verdict,
-certificate, and stage count must match the ``"int"`` run, the
-batched solve dispatch included.  Certificates are keyed without the
-kernel, so a cache warmed under one kernel serves the others.
+``fm_kernel="reference"`` is the differential oracle of the default
+``"int"`` row kernel — every verdict, certificate, and stage count
+must match.  Certificates are keyed without the kernel, so a cache
+warmed under one kernel serves the other.
 """
 
 import pytest
@@ -12,16 +12,12 @@ import pytest
 from repro.errors import AnalysisError
 from repro.lp import parse_program
 from repro.core import (
-    AnalysisPipeline,
     AnalyzerSettings,
     MemoryCertificateCache,
     TerminationAnalyzer,
     clear_caches,
 )
 from repro.core.pipeline import resolve_settings
-from repro.linalg.array_kernel import numpy_available
-from repro.obs import METRICS
-from repro.solve import BatchLPBackend
 
 PERM = """
 perm([], []).
@@ -59,10 +55,11 @@ def _certificate_view(result):
 
 
 class TestSettings:
-    def test_array_kernel_accepted(self):
-        settings = AnalyzerSettings(fm_kernel="array")
-        norm, backend = resolve_settings(settings)
-        assert backend.options["kernel"] == "array"
+    def test_array_kernel_rejected(self):
+        """The numpy ``array`` kernel is gone; naming it is the same
+        error as any unknown kernel."""
+        with pytest.raises(AnalysisError, match="unknown fm_kernel 'array'"):
+            resolve_settings(AnalyzerSettings(fm_kernel="array"))
 
     def test_unknown_kernel_rejected_eagerly(self):
         with pytest.raises(AnalysisError, match="unknown fm_kernel"):
@@ -73,64 +70,36 @@ class TestSettings:
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("feasibility", ["simplex", "fm"])
-    def test_array_matches_int(self, feasibility):
+    def test_reference_matches_int(self, feasibility):
         from_int = _analyze("int", feasibility=feasibility)
         clear_caches()
-        from_array = _analyze("array", feasibility=feasibility)
-        assert from_array.status == from_int.status
-        assert _certificate_view(from_array) == _certificate_view(from_int)
+        from_reference = _analyze("reference", feasibility=feasibility)
+        assert from_reference.status == from_int.status
+        assert (_certificate_view(from_reference)
+                == _certificate_view(from_int))
 
     def test_stage_totals_match(self):
-        """The batched dispatch must not change what the stages did:
-        same calls, same rows, same pivot totals."""
+        """The kernel must not change what the stages did: same calls,
+        same rows, same pivot totals."""
         structural = ("calls", "rows_in", "rows_out", "pivots",
                       "eliminations")
         from_int = _analyze("int")
         clear_caches()
-        from_array = _analyze("array")
+        from_reference = _analyze("reference")
         for name in ("rule_systems", "dualize", "theta", "solve",
                      "certify"):
-            got = from_array.trace.stage(name)
+            got = from_reference.trace.stage(name)
             want = from_int.trace.stage(name)
             for field in structural:
                 assert getattr(got, field) == getattr(want, field), (
                     name, field)
 
 
-class TestBatchedDispatch:
-    def test_default_backend_is_batched(self):
-        pipeline = AnalysisPipeline(
-            parse_program(PERM), AnalyzerSettings()
-        )
-        assert isinstance(pipeline.backend, BatchLPBackend)
-
-    def test_array_run_dispatches_one_batch(self):
-        if not numpy_available():
-            pytest.skip("array kernel needs numpy >= 2.0")
-        previous = METRICS.set_enabled(True)
-        before = METRICS.snapshot()["counters"]
-        try:
-            result = _analyze("array")
-        finally:
-            after = METRICS.snapshot()["counters"]
-            METRICS.set_enabled(previous)
-        assert result.proved
-
-        def delta(name):
-            return after.get(name, 0) - before.get(name, 0)
-
-        assert delta("simplex.batch.dispatches") == 1
-        assert delta("simplex.batch.requests") == len(
-            [scc for scc in result.scc_results if scc.proof is None
-             or not scc.proof.trivially_nonrecursive]
-        )
-
-
 class TestFingerprintKernelIndependence:
     def test_certificates_shared_across_kernels(self):
         """The certificate fingerprint excludes ``fm_kernel`` by
         design — byte-identical kernels may share certificates.  A
-        cache warmed under "int" must serve the "array" run."""
+        cache warmed under "int" must serve the "reference" run."""
         cache = MemoryCertificateCache()
         program = parse_program(PERM)
         warm = TerminationAnalyzer(
@@ -140,7 +109,7 @@ class TestFingerprintKernelIndependence:
         assert warm.proved
         clear_caches()
         reuse = TerminationAnalyzer(
-            program, AnalyzerSettings(fm_kernel="array"),
+            program, AnalyzerSettings(fm_kernel="reference"),
             certificate_cache=cache,
         ).analyze(("perm", 2), "bf")
         assert reuse.proved

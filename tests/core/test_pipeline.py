@@ -14,10 +14,6 @@ from repro.core import (
     analyze_program,
     clear_caches,
 )
-from repro.core.pipeline import (
-    cached_pair_constraints,
-    rule_system_fingerprint,
-)
 
 PERM = """
 perm([], []).
@@ -134,71 +130,6 @@ class TestEnvironmentCache:
         env = SizeEnvironment()
         analyzer.use_external_constraints(env)
         assert analyzer.environment is env
-
-
-class TestDualizationCache:
-    def test_same_scc_via_two_modes_hits(self):
-        program = parse_program(PERM)
-        analyzer = TerminationAnalyzer(program)
-        first = analyzer.analyze(("perm", 2), "bf")
-        # perm^bf already dualized append^bbf and append^ffb pairs;
-        # analyzing append directly must reuse them.
-        second = analyzer.analyze(("append", 3), "bbf")
-        assert first.trace.stage("dualize").cache_misses > 0
-        assert second.trace.stage("dualize").cache_hits > 0
-        assert second.trace.stage("dualize").cache_misses == 0
-
-    def test_verdicts_unchanged_by_cache(self):
-        cold = analyze_program(PERM, ("perm", 2), "bf")
-        warm = analyze_program(PERM, ("perm", 2), "bf")
-        assert warm.trace.stage("dualize").cache_hits > 0
-        assert cold.status == warm.status == "PROVED"
-        node_weights = lambda r: {
-            str(node): sorted(weights.items())
-            for scc in r.scc_results if scc.proved
-            for node, weights in scc.proof.lambdas.items()
-        }
-        assert node_weights(cold) == node_weights(warm)
-
-    def test_fingerprint_ignores_clause_identity(self):
-        from repro.core.adornment import AdornedPredicate
-        from repro.core.rule_system import build_rule_systems
-        from repro.interarg import SizeEnvironment
-
-        def systems():
-            program = parse_program(PERM)
-            node = AdornedPredicate(("append", 3), "bbf")
-            (clause,) = [
-                c for c in program.clauses_for(("append", 3)) if c.body
-            ]
-            return build_rule_systems(
-                clause, node, {node}, SizeEnvironment(), "structural"
-            )
-
-        (first,), (second,) = systems(), systems()
-        assert rule_system_fingerprint(first) == rule_system_fingerprint(
-            second
-        )
-
-    def test_eliminate_w_false_not_cached(self):
-        from repro.core.adornment import AdornedPredicate
-        from repro.core.rule_system import build_rule_systems
-        from repro.interarg import SizeEnvironment
-
-        program = parse_program(PERM)
-        node = AdornedPredicate(("append", 3), "bbf")
-        (clause,) = [
-            c for c in program.clauses_for(("append", 3)) if c.body
-        ]
-        (system,) = build_rule_systems(
-            clause, node, {node}, SizeEnvironment(), "structural"
-        )
-        _, hit1 = cached_pair_constraints(system, eliminate_w=False)
-        _, hit2 = cached_pair_constraints(system, eliminate_w=False)
-        assert not hit1 and not hit2
-        _, miss = cached_pair_constraints(system, eliminate_w=True)
-        _, hit = cached_pair_constraints(system, eliminate_w=True)
-        assert not miss and hit
 
 
 class TestEagerValidation:

@@ -187,3 +187,35 @@ class TestSettings:
         poly = env.get(("nat", 1))
         # Fallback: plain nonnegative orthant.
         assert poly.contains_point({arg_dimension(1): 12345})
+
+
+class TestWideArity:
+    """Predicates of arity 10 or more: ``("arg", 10)`` sorts before
+    ``("arg", 2)`` by ``repr``, which once made clause polyhedra
+    disagree with the predicate's dimension order."""
+
+    WIDE = (
+        "r(%s).\nr(%s) :- r(%s).\n" % (
+            ", ".join("0" for _ in range(10)),
+            ", ".join("s(X%d)" % i for i in range(10)),
+            ", ".join("X%d" % i for i in range(10)),
+        )
+    )
+
+    def test_dimensions_stay_positional(self):
+        facts = "r(%s).\nr(%s).\n" % (
+            ", ".join("0" for _ in range(10)),
+            ", ".join("s(0)" for _ in range(10)),
+        )
+        env = infer_interargument_constraints(parse_program(facts))
+        poly = env.get(("r", 10))
+        assert list(poly.dimensions) == [
+            arg_dimension(i) for i in range(1, 11)
+        ]
+        assert poly.contains_point({arg_dimension(i): 1 for i in range(1, 11)})
+
+    def test_arity_ten_recursion_is_proved(self):
+        from repro.core import analyze_program
+
+        result = analyze_program(self.WIDE, ("r", 10), "b" * 10)
+        assert result.status == "PROVED"

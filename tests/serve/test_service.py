@@ -20,6 +20,8 @@ from repro.core import TerminationAnalyzer
 from repro.corpus import all_programs
 from repro.errors import ServeError
 from repro.lp import parse_program
+from repro.obs import METRICS
+from repro.obs.sinks import read_trace
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient
 from repro.serve.pool import SolverPool, solve_wire
@@ -106,6 +108,27 @@ class TestEndpoints:
             snapshot = client.metrics()
             assert "counters" in snapshot
 
+    def test_serial_lane_counts_each_solve_once(self, tmp_path):
+        """On the in-process lane the solve already counted into the
+        server's registry; /v1/metrics must not add its delta again."""
+        def solves():
+            return METRICS.snapshot()["counters"].get("simplex.solves", 0)
+
+        previous = METRICS.set_enabled(True)
+        try:
+            with serve(tmp_path, jobs=1) as (app, client):
+                before = solves()
+                answer = client.analyze(APPEND, ("append", 3), "bbf")
+                served = client.metrics()["counters"]["simplex.solves"]
+                trace = tmp_path / "trace.jsonl"
+                trace.write_text(client.trace(answer.key))
+                _, _, delta = read_trace(str(trace))
+        finally:
+            METRICS.set_enabled(previous)
+        recorded = delta["counters"]["simplex.solves"]
+        assert recorded > 0
+        assert served - before == recorded
+
     def test_trace_for_solved_request(self, tmp_path):
         with serve(tmp_path) as (app, client):
             answer = client.analyze(APPEND, ("append", 3), "bbf")
@@ -138,6 +161,16 @@ class TestEndpoints:
                 "POST", "/v1/analyze", b"not json"
             )
             assert status == 400
+
+    def test_removed_array_kernel_is_400(self, tmp_path):
+        body = {"source": APPEND, "root": "append/3", "mode": "bbf",
+                "settings": {"fm_kernel": "array"}}
+        with serve(tmp_path) as (app, client):
+            status, _, text = client._request(
+                "POST", "/v1/analyze", json.dumps(body).encode()
+            )
+        assert status == 400
+        assert "unknown fm_kernel 'array'" in text
 
     def test_undefined_root_is_400_with_message(self, tmp_path):
         with serve(tmp_path) as (app, client):
