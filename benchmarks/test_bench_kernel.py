@@ -1,26 +1,18 @@
-"""Experiment F8: the integer row kernel and the parallel batch layer.
+"""Experiment F8: the integer row kernel.
 
-Two claims to regenerate:
+The claim to regenerate: the dense integer row kernel beats the object
+pipeline kept as the test oracle (``tests/property/fm_oracle.py``) by
+>= 3x on cold FM-heavy eliminations (the lifted convex-hull
+projections that dominate inter-argument inference), with
+byte-identical projections.
 
-- the dense integer row kernel (``kernel="int"``) beats the reference
-  object pipeline by >= 3x on cold FM-heavy eliminations (the lifted
-  convex-hull projections that dominate inter-argument inference), with
-  byte-identical projections;
-- :func:`repro.batch.analyze_many` fans the corpus sweep over worker
-  processes with verdicts identical to the serial reference, and
-  near-linear wall-clock speedup when cores are available (the
-  speedup assertion is gated on ``os.cpu_count()`` — single-core CI
-  boxes still check correctness).
-
-Each test folds its measurements into the repo-level ``BENCH_F8.json``
-so the headline numbers are quotable without re-running pytest.
+The measurements are folded into the repo-level ``BENCH_F8.json`` so
+the headline numbers are quotable without re-running pytest.
 """
 
 import json
 import os
 import time
-
-import pytest
 
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.fourier_motzkin import eliminate_all_tracked
@@ -28,6 +20,7 @@ from repro.linalg.linexpr import LinearExpr
 from repro.linalg.polyhedron import Polyhedron, _homogenize
 
 from benchmarks.conftest import emit
+from tests.property.fm_oracle import oracle_eliminate_all_tracked
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEADLINE_PATH = os.path.join(REPO_ROOT, "BENCH_F8.json")
@@ -107,12 +100,10 @@ def test_kernel_speedup(benchmark):
     for nd in (2, 3, 4):
         lifted, to_eliminate = hull_lift_workload(nd)
         int_time, int_result = best_of(
-            5, lambda: eliminate_all_tracked(lifted, to_eliminate,
-                                             kernel="int")
+            5, lambda: eliminate_all_tracked(lifted, to_eliminate)
         )
         ref_time, ref_result = best_of(
-            5, lambda: eliminate_all_tracked(lifted, to_eliminate,
-                                             kernel="reference")
+            5, lambda: oracle_eliminate_all_tracked(lifted, to_eliminate)
         )
         assert list(int_result.constraints) == list(ref_result.constraints)
         ratio = ref_time / int_time
@@ -132,82 +123,19 @@ def test_kernel_speedup(benchmark):
 
     lifted, to_eliminate = hull_lift_workload(4)
     benchmark.pedantic(
-        lambda: eliminate_all_tracked(lifted, to_eliminate, kernel="int"),
+        lambda: eliminate_all_tracked(lifted, to_eliminate),
         rounds=3, iterations=1,
     )
     emit(
         "F8_kernel",
-        "Integer row kernel vs reference object pipeline\n"
+        "Integer row kernel vs the object-pipeline oracle\n"
         "(tracked FM projection of lifted hull systems;\n"
         "projections byte-identical by assertion)\n"
         + "\n".join(rows) + "\n",
         data=records,
     )
     _update_headline("kernel_micro", records)
-    # The acceptance target: int >= 3x over reference on the FM-heavy
+    # The acceptance target: int >= 3x over the oracle on the FM-heavy
     # workloads.  hull(2) is dominated by the shared final LP prune,
     # so the target applies to the elimination-bound sizes.
     assert best_ratio >= 3.0, rows
-
-
-# -- serial vs parallel corpus sweep ------------------------------------------
-
-
-def test_parallel_sweep(benchmark):
-    from repro.batch import analyze_many
-    from repro.core import AnalyzerSettings, clear_caches
-    from repro.corpus import all_programs
-
-    entries = all_programs()
-    settings = AnalyzerSettings()
-
-    clear_caches()
-    serial = analyze_many(entries, jobs=1, settings=settings)
-    clear_caches()  # forked workers must start as cold as the serial run
-    parallel = analyze_many(entries, jobs=4, settings=settings)
-
-    serial_verdicts = [(r.name, r.status) for r in serial.results]
-    parallel_verdicts = [(r.name, r.status) for r in parallel.results]
-    assert parallel_verdicts == serial_verdicts
-
-    cores = os.cpu_count() or 1
-    # On a single-core box the ratio measures process-pool overhead,
-    # not scaling; flag it so BENCH_F8.json consumers never quote a
-    # ~1.0x single-core figure as a parallel-speedup result.
-    scaling_measured = cores >= 2
-    speedup = serial.wall_time / parallel.wall_time
-    lines = [
-        "corpus sweep over %d programs (%d cores available)"
-        % (len(entries), cores),
-        "serial (jobs=1):   %6.2fs" % serial.wall_time,
-        "parallel (jobs=4): %6.2fs" % parallel.wall_time,
-        "speedup:           %5.2fx%s"
-        % (speedup,
-           "" if scaling_measured
-           else "  (single core: overhead check only, NOT a scaling "
-                "measurement)"),
-        "verdicts identical: True",
-    ]
-    record = {
-        "programs": len(entries),
-        "cores": cores,
-        "kernel": settings.fm_kernel,
-        "scaling_measured": scaling_measured,
-        "serial_seconds": serial.wall_time,
-        "parallel_seconds": parallel.wall_time,
-        "speedup": speedup,
-        "verdicts_identical": True,
-    }
-    emit("F8_parallel_sweep", "\n".join(lines) + "\n", data=record)
-    _update_headline("parallel_sweep", record)
-
-    def warm_parallel():
-        return analyze_many(entries[:6], jobs=2)
-
-    benchmark.pedantic(warm_parallel, rounds=1, iterations=1)
-
-    if cores >= 2:
-        # Near-linear up to the core count; allow generous slack for
-        # process start-up and the re-parse each worker pays.
-        expected = min(4, cores) * 0.5
-        assert speedup >= expected, lines

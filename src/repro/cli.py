@@ -93,13 +93,6 @@ def build_parser():
         help="list the registered termination methods and exit",
     )
     parser.add_argument(
-        "--kernel", default="int",
-        choices=("int", "reference"),
-        help="Fourier–Motzkin kernel: 'int' (default) is the dense "
-        "integer row kernel, 'reference' the original object pipeline; "
-        "both give byte-identical results",
-    )
-    parser.add_argument(
         "--negative-theta", action="store_true",
         help="use the Appendix C negative-weight search",
     )
@@ -266,7 +259,6 @@ def _run_cli(args):
         norm=args.norm,
         use_interarg=not args.no_interarg,
         allow_negative_theta=args.negative_theta,
-        fm_kernel=args.kernel,
         method=args.method,
     )
 

@@ -131,10 +131,6 @@ class AnalyzerSettings:
     :class:`~repro.solve.LPBackend` instance.  Resolved — and
     validated — when the analyzer is constructed.
     ``prune_fm`` — redundancy pruning inside Fourier–Motzkin.
-    ``fm_kernel`` — ``"int"`` (default) runs Fourier–Motzkin solves on
-    the dense integer row kernel; ``"reference"`` keeps the original
-    object pipeline (differential testing / ablation).  Both produce
-    byte-identical verdicts and witnesses.
     ``method`` — name of the :mod:`repro.methods` termination prover
     drivers dispatch to (``argsize``, ``sizechange``, ``nonterm``, or
     ``portfolio``).  ``argsize`` is the paper's pipeline and the
@@ -155,7 +151,6 @@ class AnalyzerSettings:
     allow_negative_theta: bool = False
     feasibility: str = "simplex"
     prune_fm: bool = True
-    fm_kernel: str = "int"
     eliminate_w: bool = True
     method: str = "argsize"
     inference: InferenceSettings = field(default_factory=InferenceSettings)

@@ -39,7 +39,6 @@ from repro.errors import AnalysisError
 from repro.obs import METRICS, Tracer, span
 from repro.lp.program import Program
 from repro.linalg.constraints import ConstraintSystem
-from repro.linalg.fourier_motzkin import KERNELS, use_kernel
 from repro.graph.scc import is_recursive_component, strongly_connected_components
 from repro.sizes.norms import get_norm
 from repro.solve import get_backend
@@ -462,16 +461,7 @@ def resolve_settings(settings):
         norm = get_norm(settings.norm)
     except ValueError as error:
         raise AnalysisError("invalid analyzer settings: %s" % error) from None
-    fm_kernel = getattr(settings, "fm_kernel", "int")
-    if fm_kernel not in KERNELS:
-        raise AnalysisError(
-            "invalid analyzer settings: unknown fm_kernel %r "
-            "(choose one of %s)"
-            % (fm_kernel, ", ".join(repr(k) for k in KERNELS))
-        )
-    backend = get_backend(
-        settings.feasibility, prune=settings.prune_fm, kernel=fm_kernel
-    )
+    backend = get_backend(settings.feasibility, prune=settings.prune_fm)
     method = getattr(settings, "method", "argsize")
     # Lazy import: repro.methods imports repro.core, not vice versa.
     from repro.methods import available_methods
@@ -536,7 +526,6 @@ class AnalysisPipeline:
         self.program = program
         self.settings = settings
         self.norm, self.backend = resolve_settings(settings)
-        self.fm_kernel = getattr(settings, "fm_kernel", "int")
         self.certificate_cache = certificate_cache
         self._environment = None
         self._environment_key = None
@@ -620,11 +609,10 @@ class AnalysisPipeline:
             mode=str(root_mode),
             norm=self.norm.name,
             backend=self.backend.name,
-            kernel=self.fm_kernel,
         )
         if request_id is not None:
             attrs["request_id"] = str(request_id)
-        with trace.span("analyze", **attrs), use_kernel(self.fm_kernel):
+        with trace.span("analyze", **attrs):
             return self._run_traced(root_indicator, root_mode, trace)
 
     def _run_traced(self, root_indicator, root_mode, trace):
@@ -718,7 +706,7 @@ class AnalysisPipeline:
         state = _SCCState(members=tuple(members))
         with trace.span(
             "scc", members=", ".join(str(m) for m in state.members)
-        ) as scc_span, use_kernel(self.fm_kernel):
+        ) as scc_span:
             fingerprint = ""
             order = None
             cache_state = ""
@@ -760,7 +748,7 @@ class AnalysisPipeline:
         prepared = _PreparedSCC(state=state)
         with trace.span(
             "scc", members=", ".join(str(m) for m in state.members)
-        ) as scc_span, use_kernel(self.fm_kernel):
+        ) as scc_span:
             if self.certificate_cache is not None:
                 with trace.timed("fingerprint") as event:
                     reused, prepared.fingerprint, prepared.order = (
@@ -800,28 +788,27 @@ class AnalysisPipeline:
         plus that SCC's assembly time), then the ordinary ``certify``
         stage.
         """
-        with use_kernel(self.fm_kernel):
-            finals = [prepared.state.final for _, prepared in pending]
-            with trace.span("solve.batch", sccs=len(finals)):
-                started = perf_counter()
-                outcomes = self.backend.feasible_points(finals)
-                share = (perf_counter() - started) / len(finals)
-            for (slot, prepared), outcome in zip(pending, outcomes):
-                state = prepared.state
-                state.outcome = outcome
-                event = StageTrace(
-                    stage="solve", calls=1,
-                    wall_time=share + prepared.assembly_time,
-                )
-                result = self._solve_verdict(state, event)
-                trace.add(event)
-                if result is None:
-                    with trace.timed("certify") as cevent:
-                        result = self._stage_certify(state, cevent)
-                scc_results[slot] = self._publish_certificate(
-                    result, prepared.fingerprint, prepared.order,
-                    prepared.cache_state,
-                )
+        finals = [prepared.state.final for _, prepared in pending]
+        with trace.span("solve.batch", sccs=len(finals)):
+            started = perf_counter()
+            outcomes = self.backend.feasible_points(finals)
+            share = (perf_counter() - started) / len(finals)
+        for (slot, prepared), outcome in zip(pending, outcomes):
+            state = prepared.state
+            state.outcome = outcome
+            event = StageTrace(
+                stage="solve", calls=1,
+                wall_time=share + prepared.assembly_time,
+            )
+            result = self._solve_verdict(state, event)
+            trace.add(event)
+            if result is None:
+                with trace.timed("certify") as cevent:
+                    result = self._stage_certify(state, cevent)
+            scc_results[slot] = self._publish_certificate(
+                result, prepared.fingerprint, prepared.order,
+                prepared.cache_state,
+            )
 
     def _reuse_certificate(self, members, event):
         """Try the certificate cache for one SCC.

@@ -10,15 +10,11 @@ of the solution set onto the remaining variables.  Equalities containing
 the eliminated variable are used for Gaussian substitution first — it is
 both cheaper and produces no spurious rows.
 
-Two interchangeable execution paths compute every projection:
-
-- ``kernel="int"`` (default) — the dense integer row kernel of
-  :mod:`repro.linalg.rows`: variables interned to dense indices,
-  rows as gcd-normalized integer tuples, Chernikov ancestor sets as
-  bitmasks, pos/neg occurrence counters maintained incrementally.
-  Constraint objects are materialized only at the projection boundary.
-- ``kernel="reference"`` — the original object pipeline, kept for
-  differential testing; both paths produce byte-identical projections.
+Every combination step runs on the dense integer row kernel of
+:mod:`repro.linalg.rows`: variables interned to dense indices, rows as
+gcd-normalized integer tuples, Chernikov ancestor sets as bitmasks,
+pos/neg occurrence counters maintained incrementally.  Constraint
+objects are materialized only at the projection boundary.
 
 Redundancy control: syntactic normalization + de-duplication happens in
 :class:`~repro.linalg.constraints.Constraint`, and
@@ -28,75 +24,29 @@ optional exact LP-based pass (used by the ablation benchmarks).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
 
-from repro.errors import FMBlowupError, LinAlgError
-from repro.linalg.constraints import Constraint, ConstraintSystem, GE
+from repro.errors import FMBlowupError
+from repro.linalg.constraints import ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.rows import RowKernel, tracked_project
 
 __all__ = [
     "FMBlowupError",
-    "KERNEL_INT",
-    "KERNEL_REFERENCE",
-    "KERNELS",
-    "default_kernel",
     "eliminate",
     "eliminate_all",
     "eliminate_all_tracked",
     "project_onto",
     "prune_redundant",
-    "use_kernel",
 ]
 
-#: The integer row kernel (default) and the original object path.
-KERNEL_INT = "int"
-KERNEL_REFERENCE = "reference"
-KERNELS = (KERNEL_INT, KERNEL_REFERENCE)
 
-#: The process-default kernel: public entry points accept
-#: ``kernel=None`` and fall back to this, so callers that never pass a
-#: kernel (the polyhedron domain's hull/projection operations) follow
-#: the analyzer's configured choice.  A :class:`ContextVar` keeps
-#: concurrent analyses with different settings independent.
-_DEFAULT_KERNEL = ContextVar("repro_fm_kernel", default=KERNEL_INT)
-
-
-def default_kernel():
-    """The kernel used when a call site does not name one."""
-    return _DEFAULT_KERNEL.get()
-
-
-@contextmanager
-def use_kernel(kernel):
-    """Scope the process-default FM kernel to a ``with`` block."""
-    token = _DEFAULT_KERNEL.set(_validate_kernel(kernel))
-    try:
-        yield
-    finally:
-        _DEFAULT_KERNEL.reset(token)
-
-
-def _validate_kernel(kernel):
-    if kernel is None:
-        return _DEFAULT_KERNEL.get()
-    if kernel not in KERNELS:
-        raise LinAlgError(
-            "unknown FM kernel %r; choose one of %s"
-            % (kernel, ", ".join(repr(k) for k in KERNELS))
-        )
-    return kernel
-
-
-def eliminate(system, var, prune=True, kernel=None):
+def eliminate(system, var, prune=True):
     """Eliminate *var* from *system*; the result has no occurrence of it.
 
     Returns a new :class:`ConstraintSystem` over the remaining
     variables whose solution set is exactly the projection.
     """
-    kernel = _validate_kernel(kernel)
     relevant_eq = None
     for constraint in system:
         if constraint.is_equality() and var in constraint.variables():
@@ -105,13 +55,12 @@ def eliminate(system, var, prune=True, kernel=None):
 
     if relevant_eq is not None:
         return _eliminate_by_substitution(system, var, relevant_eq)
-    if kernel == KERNEL_REFERENCE:
-        return _eliminate_by_combination(system, var, prune=prune)
     return _kernel_combination(system, var, prune=prune)
 
 
 def _kernel_combination(system, var, prune=True):
-    """Row-kernel version of :func:`_eliminate_by_combination`."""
+    """Classic FM on the row kernel: pair each positive occurrence of
+    *var* with each negative one, then prune."""
     workspace = RowKernel.from_system(system)
     j = workspace.index.get(var)
     if j is None:
@@ -138,34 +87,7 @@ def _eliminate_by_substitution(system, var, equality):
     return result
 
 
-def _eliminate_by_combination(system, var, prune=True):
-    """Classic FM: pair each positive occurrence with each negative."""
-    positives = []
-    negatives = []
-    result = ConstraintSystem()
-    for constraint in system.inequalities():
-        coeff = constraint.expr.coefficient(var)
-        if coeff > 0:
-            positives.append(constraint)
-        elif coeff < 0:
-            negatives.append(constraint)
-        else:
-            result.add(constraint)
-    for pos in positives:
-        pos_coeff = pos.expr.coefficient(var)
-        for neg in negatives:
-            neg_coeff = neg.expr.coefficient(var)
-            # pos.expr >= 0 has +a*var, neg.expr >= 0 has -b*var (a,b>0):
-            # b*pos.expr + a*neg.expr >= 0 cancels var.
-            combined = pos.expr * (-neg_coeff) + neg.expr * pos_coeff
-            result.add(Constraint(combined, GE))
-    if prune:
-        result = prune_redundant(result)
-    return result
-
-
-def eliminate_all(system, variables, prune=True, lp_prune_threshold=None,
-                  kernel=None):
+def eliminate_all(system, variables, prune=True, lp_prune_threshold=None):
     """Eliminate every variable in *variables*, cheapest-first.
 
     The next variable to eliminate is chosen greedily to minimize the
@@ -173,7 +95,7 @@ def eliminate_all(system, variables, prune=True, lp_prune_threshold=None,
     heuristic.  Variables reachable through an equality are substituted
     away first (cost "-1"); once the first pairwise combination happens
     no equality survives, and the remaining eliminations run entirely
-    inside the integer row kernel (under ``kernel="int"``).
+    inside the integer row kernel.
 
     FM can square the row count at every step; *lp_prune_threshold*
     (when set) bounds the blow-up by running the exact LP-based
@@ -181,7 +103,6 @@ def eliminate_all(system, variables, prune=True, lp_prune_threshold=None,
     many rows.  This is the practical move that keeps repeated convex
     hulls (inter-argument inference) tractable.
     """
-    kernel = _validate_kernel(kernel)
     remaining = set(variables)
     current = system
     while remaining:
@@ -189,14 +110,14 @@ def eliminate_all(system, variables, prune=True, lp_prune_threshold=None,
         if not costs:
             break
         var = min(costs, key=lambda v: costs[v])
-        if costs[var][0] >= 0 and kernel != KERNEL_REFERENCE:
+        if costs[var][0] >= 0:
             # No equality mentions any remaining variable: every step
             # from here on is pure combination — run them all in the
             # row kernel and materialize once.
             return _kernel_eliminate_all(
                 current, remaining, prune, lp_prune_threshold
             )
-        current = eliminate(current, var, prune=prune, kernel=kernel)
+        current = eliminate(current, var, prune=prune)
         if (
             lp_prune_threshold is not None
             and len(current) > lp_prune_threshold
@@ -266,20 +187,18 @@ def _elimination_costs(system, remaining):
     }
 
 
-def project_onto(system, keep, prune=True, lp_prune_threshold=None,
-                 kernel=None):
+def project_onto(system, keep, prune=True, lp_prune_threshold=None):
     """Project the solution set onto the variables in *keep*."""
     keep = set(keep)
     to_eliminate = system.variables() - keep
     return eliminate_all(
         system, to_eliminate, prune=prune,
-        lp_prune_threshold=lp_prune_threshold, kernel=kernel,
+        lp_prune_threshold=lp_prune_threshold,
     )
 
 
 def eliminate_all_tracked(
     system, variables, final_lp_prune=True, max_rows=600,
-    kernel=None,
 ):
     """Projection by pure-inequality FM with Chernikov ancestor pruning.
 
@@ -295,97 +214,13 @@ def eliminate_all_tracked(
     instead.  A final exact LP prune (small by then) yields a tidy
     result.
     """
-    if _validate_kernel(kernel) == KERNEL_INT:
-        result = tracked_project(system, variables, max_rows=max_rows)
-    else:
-        result = _reference_tracked(system, variables, max_rows)
+    result = tracked_project(system, variables, max_rows=max_rows)
     # The exact LP prune is quadratic in rows x simplex cost; only tidy
     # results that are already small (the quadratic pass on a big
     # system would dominate everything else).
     if final_lp_prune and 1 < len(result) <= 60:
         return prune_redundant(result, use_lp=True)
     return prune_redundant(result)
-
-
-def _reference_tracked(system, variables, max_rows):
-    """The object-pipeline tracked elimination (differential baseline)."""
-    rows = []
-    for index, constraint in enumerate(system.inequalities()):
-        rows.append((constraint, frozenset((index,))))
-
-    remaining = set(variables)
-    eliminated = 0
-    while remaining:
-        present = set()
-        for constraint, _ in rows:
-            present |= constraint.variables() & remaining
-        if not present:
-            break
-        var = min(
-            present, key=lambda v: _tracked_cost(rows, v)
-        )
-        remaining.discard(var)
-        eliminated += 1
-        rows = _tracked_step(rows, var, eliminated)
-        if max_rows is not None and len(rows) > max_rows:
-            raise FMBlowupError(
-                "tracked elimination exceeded %d rows" % max_rows
-            )
-
-    return ConstraintSystem(constraint for constraint, _ in rows)
-
-
-def _tracked_cost(rows, var):
-    positives = negatives = 0
-    for constraint, _ in rows:
-        coeff = constraint.expr.coefficient(var)
-        if coeff > 0:
-            positives += 1
-        elif coeff < 0:
-            negatives += 1
-    return (positives * negatives, repr(var))
-
-
-def _tracked_step(rows, var, eliminated):
-    positives = []
-    negatives = []
-    kept = []
-    for row in rows:
-        coeff = row[0].expr.coefficient(var)
-        if coeff > 0:
-            positives.append(row)
-        elif coeff < 0:
-            negatives.append(row)
-        else:
-            kept.append(row)
-    limit = eliminated + 1
-    seen = {constraint for constraint, _ in kept}
-    for pos, pos_history in positives:
-        pos_coeff = pos.expr.coefficient(var)
-        for neg, neg_history in negatives:
-            history = pos_history | neg_history
-            if len(history) > limit:
-                continue  # Chernikov: provably redundant
-            neg_coeff = neg.expr.coefficient(var)
-            combined = Constraint(
-                pos.expr * (-neg_coeff) + neg.expr * pos_coeff, GE
-            )
-            if combined.is_trivial() or combined in seen:
-                continue
-            seen.add(combined)
-            kept.append((combined, history))
-    return _dominance_filter(kept)
-
-
-def _dominance_filter(rows):
-    """Keep only the tightest row per linear part (cheap pruning)."""
-    best = {}
-    for constraint, history in rows:
-        linear = constraint.expr - LinearExpr.constant(constraint.expr.const)
-        current = best.get(linear)
-        if current is None or constraint.expr.const < current[0].expr.const:
-            best[linear] = (constraint, history)
-    return list(best.values())
 
 
 def prune_redundant(system, use_lp=False):

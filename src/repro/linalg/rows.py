@@ -26,7 +26,8 @@ instead:
 
 Constraint objects are materialized only at the projection boundary
 (:meth:`RowKernel.to_system`); every intermediate row lives and dies as
-a tuple of ints.  The results are byte-identical to the object path —
+a tuple of ints.  The results are byte-identical to the object
+pipeline kept as the test oracle (``tests/property/fm_oracle.py``) —
 same rows, same canonical form, same insertion order — which the
 differential tests in ``tests/property/test_kernel_props.py`` enforce.
 """
@@ -166,12 +167,12 @@ class RowKernel:
     def eliminate(self, j, chernikov_limit=None, prune=True):
         """Eliminate variable index *j* by pairwise combination.
 
-        Mirrors ``_eliminate_by_combination`` + ``prune_redundant``
-        (or ``_tracked_step`` + ``_dominance_filter`` when histories
-        are tracked): positive rows pair with negative rows in row
-        order, combined rows are gcd-normalized, trivial rows and
-        duplicates are dropped, and with *prune* the tightest row per
-        linear part survives (first-occurrence order).
+        Mirrors the oracle's object-level combination + dominance
+        pruning (or its tracked step when histories are tracked):
+        positive rows pair with negative rows in row order, combined
+        rows are gcd-normalized, trivial rows and duplicates are
+        dropped, and with *prune* the tightest row per linear part
+        survives (first-occurrence order).
         """
         track = self.histories is not None
         positives = []
@@ -281,8 +282,8 @@ class RowKernel:
 def tracked_project(system, variables, max_rows=600):
     """Kernel implementation of the Chernikov-pruned projection.
 
-    Byte-identical to the reference ``eliminate_all_tracked`` loop
-    (before its final redundancy prune, which the caller applies at the
+    Byte-identical to the oracle's object-level tracked loop (before
+    its final redundancy prune, which the caller applies at the
     object boundary).  Raises :class:`FMBlowupError` when the
     intermediate row count passes *max_rows*.
     """

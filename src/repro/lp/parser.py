@@ -14,6 +14,10 @@ Supported syntax::
 Lists desugar to the binary cons functor ``'.'`` with the atom ``[]``
 as terminator, exactly the representation the paper's size equations
 assume (``[X|L]`` has size ``2 + X + L``).
+
+Terms nested deeper than :data:`MAX_TERM_DEPTH` are a syntax error:
+the parser and every analysis stage walk terms recursively, so a
+hostile input would otherwise end in a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -72,6 +76,14 @@ MAX_PRECEDENCE = 1200
 #: Precedence of a bare term (atoms, functional notation, parenthesized).
 PRIMARY_PRECEDENCE = 0
 
+#: The deepest term the parser accepts.  Depth counts every compound
+#: level, each cons cell of a list and each operator application
+#: included; the parser's own recursion, which parentheses also drive,
+#: is bounded by the same number.  Every stage of every termination
+#: method walks a term this deep within the interpreter's default
+#: recursion limit.
+MAX_TERM_DEPTH = 128
+
 
 class _Parser:
     """Recursive-descent / Pratt parser over a token list."""
@@ -79,6 +91,7 @@ class _Parser:
     def __init__(self, text):
         self._tokens = list(Tokenizer(text).tokens())
         self._index = 0
+        self._nesting = 0
 
     # -- token utilities -------------------------------------------------
 
@@ -99,6 +112,12 @@ class _Parser:
             column=token.column,
         )
 
+    def _check_depth(self, depth, token=None):
+        if depth > MAX_TERM_DEPTH:
+            self._error(
+                "term nested deeper than %d levels" % MAX_TERM_DEPTH, token
+            )
+
     def _expect_punct(self, text):
         token = self._next()
         if token.kind != PUNCT or token.text != text:
@@ -113,18 +132,29 @@ class _Parser:
 
     def read_clause_term(self):
         """Read one term followed by a clause-terminating period."""
-        term = self.parse(MAX_PRECEDENCE)
+        term, _ = self.parse(MAX_PRECEDENCE)
         token = self._next()
         if token.kind != END:
             self._error("expected '.' at end of clause", token)
         return term
 
     def parse(self, max_precedence):
-        """Read a term whose principal operator precedence is allowed."""
-        left, left_precedence = self._parse_primary(max_precedence)
-        return self._parse_infix(left, left_precedence, max_precedence)
+        """Read a term whose principal operator precedence is allowed;
+        return ``(term, depth)``.
 
-    def _parse_infix(self, left, left_precedence, max_precedence):
+        *depth* is 0 for an atom, number or variable and one more than
+        the deepest argument for a compound term.  ``_nesting`` bounds
+        the recursion itself, before any depth is known.
+        """
+        self._check_depth(self._nesting)
+        self._nesting += 1
+        left, left_precedence, depth = self._parse_primary(max_precedence)
+        result = self._parse_infix(left, left_precedence, depth,
+                                   max_precedence)
+        self._nesting -= 1
+        return result
+
+    def _parse_infix(self, left, left_precedence, depth, max_precedence):
         while True:
             token = self._peek()
             name = None
@@ -137,38 +167,41 @@ class _Parser:
             ):
                 name = ","
             if name is None:
-                return left
+                return left, depth
             precedence, op_type = INFIX_OPERATORS[name]
             if precedence > max_precedence:
-                return left
+                return left, depth
             left_max = precedence if op_type == "yfx" else precedence - 1
             if left_precedence > left_max:
-                return left
+                return left, depth
             self._next()
             right_max = precedence if op_type == "xfy" else precedence - 1
-            right = self.parse(right_max)
+            right, right_depth = self.parse(right_max)
+            depth = 1 + max(depth, right_depth)
+            self._check_depth(depth, token)
             left = Struct(name, (left, right))
             left_precedence = precedence
 
     def _parse_primary(self, max_precedence):
-        """Read a primary term; return (term, its precedence)."""
+        """Read a primary term; return (term, its precedence, depth)."""
         token = self._next()
 
         if token.kind == INTEGER:
-            return Atom(int(token.text)), PRIMARY_PRECEDENCE
+            return Atom(int(token.text)), PRIMARY_PRECEDENCE, 0
 
         if token.kind == VARIABLE:
-            return self._make_variable(token), PRIMARY_PRECEDENCE
+            return self._make_variable(token), PRIMARY_PRECEDENCE, 0
 
         if token.kind == PUNCT:
             if token.text == "(":
-                term = self.parse(MAX_PRECEDENCE)
+                term, depth = self.parse(MAX_PRECEDENCE)
                 self._expect_punct(")")
-                return term, PRIMARY_PRECEDENCE
+                return term, PRIMARY_PRECEDENCE, depth
             if token.text == "[":
-                return self._parse_list(), PRIMARY_PRECEDENCE
+                term, depth = self._parse_list()
+                return term, PRIMARY_PRECEDENCE, depth
             if token.text == "!":
-                return Atom("!"), PRIMARY_PRECEDENCE
+                return Atom("!"), PRIMARY_PRECEDENCE, 0
             self._error("unexpected token", token)
 
         if token.kind == ATOM:
@@ -194,8 +227,9 @@ class _Parser:
         # accept any "(" here as the corpus never relies on the nuance.
         if following.kind == PUNCT and following.text == "(":
             self._next()
-            args = self._parse_arguments()
-            return Struct(name, tuple(args)), PRIMARY_PRECEDENCE
+            args, depth = self._parse_arguments()
+            self._check_depth(depth + 1, token)
+            return Struct(name, tuple(args)), PRIMARY_PRECEDENCE, depth + 1
 
         # Prefix operator (unless something that can't start a term follows).
         if name in PREFIX_OPERATORS and self._starts_term(following):
@@ -205,11 +239,12 @@ class _Parser:
                 # Special case: negative integer literal.
                 if name == "-" and following.kind == INTEGER:
                     value = self._next()
-                    return Atom(-int(value.text)), PRIMARY_PRECEDENCE
-                argument = self.parse(arg_max)
-                return Struct(name, (argument,)), precedence
+                    return Atom(-int(value.text)), PRIMARY_PRECEDENCE, 0
+                argument, depth = self.parse(arg_max)
+                self._check_depth(depth + 1, token)
+                return Struct(name, (argument,)), precedence, depth + 1
 
-        return Atom(name), PRIMARY_PRECEDENCE
+        return Atom(name), PRIMARY_PRECEDENCE, 0
 
     def _starts_term(self, token):
         if token.kind in (INTEGER, VARIABLE):
@@ -223,42 +258,57 @@ class _Parser:
         return False
 
     def _parse_arguments(self):
-        """Read ``arg, arg, ... )`` — each arg below the ',' precedence."""
-        args = [self.parse(999)]
+        """Read ``arg, arg, ... )`` — each arg below the ',' precedence;
+        return the arguments and the deepest one's depth."""
+        arg, depth = self.parse(999)
+        args = [arg]
         while True:
             token = self._next()
             if token.kind == PUNCT and token.text == ")":
-                return args
+                return args, depth
             if token.kind == PUNCT and token.text == ",":
-                args.append(self.parse(999))
+                arg, arg_depth = self.parse(999)
+                args.append(arg)
+                depth = max(depth, arg_depth)
                 continue
             self._error("expected ',' or ')' in argument list", token)
 
     def _parse_list(self):
-        """Read ``[ ... ]`` list syntax, desugaring to cons cells."""
+        """Read ``[ ... ]`` list syntax, desugaring to cons cells;
+        return the list and its depth.
+
+        The k-th element (1-based) sits under k cons cells, and the
+        tail under all of them.
+        """
         token = self._peek()
         if token.kind == PUNCT and token.text == "]":
             self._next()
-            return Atom("[]")
-        elements = [self.parse(999)]
+            return Atom("[]"), 0
+        elements = []
+        depth = 0
         while True:
+            element, element_depth = self.parse(999)
+            elements.append(element)
+            depth = max(depth, len(elements) + element_depth)
+            self._check_depth(depth, token)
             token = self._next()
             if token.kind == PUNCT and token.text == "]":
-                return make_list(elements)
+                return make_list(elements), depth
             if token.kind == PUNCT and token.text == ",":
-                elements.append(self.parse(999))
                 continue
             if token.kind == PUNCT and token.text == "|":
-                tail = self.parse(999)
+                tail, tail_depth = self.parse(999)
+                depth = max(depth, len(elements) + tail_depth)
+                self._check_depth(depth, token)
                 self._expect_punct("]")
-                return make_list(elements, tail=tail)
+                return make_list(elements, tail=tail), depth
             self._error("expected ',', '|' or ']' in list", token)
 
 
 def parse_term(text):
     """Parse a single term (no trailing period required)."""
     parser = _Parser(text)
-    term = parser.parse(MAX_PRECEDENCE)
+    term, _ = parser.parse(MAX_PRECEDENCE)
     token = parser._peek()
     if token.kind == END:
         parser._next()

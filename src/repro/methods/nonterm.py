@@ -66,7 +66,7 @@ from repro.core.pipeline import (
 from repro.errors import EngineLimitError, UnificationError
 from repro.lp.engine import SLDEngine
 from repro.lp.program import BUILTIN_PREDICATES, Clause, Literal
-from repro.lp.terms import Atom, Struct, Var, term_variables
+from repro.lp.terms import Atom, Struct, Var, term_variables, terms_variables
 from repro.lp.unify import apply_subst, rename_apart, unify
 from repro.methods.base import TerminationMethod, register_method
 
@@ -264,6 +264,30 @@ def _loop_witness(head, mode):
     return apply_subst(head, grounding)
 
 
+def _canonical_reason(template, *terms):
+    """Format *terms* into *template* with their variables numbered
+    ``_0``, ``_1``, ... in first-occurrence order across all of them.
+
+    Loop search renames clauses apart through a process-global counter;
+    canonical numbering keeps a reason, and the payload carrying it,
+    independent of what the process analyzed before.
+    """
+    renaming = {}
+    for var in terms_variables(terms):
+        renaming[var] = Var("_%d" % len(renaming))
+
+    # One step per variable: apply_subst would chase a source
+    # variable that is itself named ``_N`` into another number.
+    def rename(term):
+        if isinstance(term, Var):
+            return renaming[term]
+        if isinstance(term, Struct):
+            return Struct(term.functor, tuple(rename(a) for a in term.args))
+        return term
+
+    return template % tuple(rename(term) for term in terms)
+
+
 # -- dynamic ancestor subsumption ---------------------------------------------
 
 
@@ -427,14 +451,13 @@ class NonTerminationMethod(TerminationMethod):
                     max_depth=self.engine_depth,
                     max_steps=self.engine_steps,
                 )
-            reason = (
+            reason = _canonical_reason(
                 "looping derivation: %s calls %s (instance of its own "
-                "head); diverging witness query %s%s"
-                % (
-                    head, body, witness,
-                    " [confirmed by SLD engine]" if confirmed else "",
-                )
+                "head); diverging witness query %s",
+                head, body, witness,
             )
+            if confirmed:
+                reason += " [confirmed by SLD engine]"
             return DISPROVED, reason
         # 2. Loops in other predicates (or mode-incompatible heads)
         #    disprove only if a concrete root query demonstrably
@@ -447,9 +470,9 @@ class NonTerminationMethod(TerminationMethod):
                     max_steps=self.engine_steps,
                 )
             if loop is not None:
-                return DISPROVED, (
+                return DISPROVED, _canonical_reason(
                     "looping derivation under query %s: call %s subsumes "
-                    "its open ancestor %s" % (query, loop.goal, loop.ancestor)
+                    "its open ancestor %s", query, loop.goal, loop.ancestor,
                 )
         return None
 

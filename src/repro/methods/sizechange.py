@@ -59,7 +59,6 @@ from repro.graph.scc import (
     strongly_connected_components,
 )
 from repro.linalg.constraints import Constraint, ConstraintSystem
-from repro.linalg.fourier_motzkin import use_kernel
 from repro.linalg.linexpr import LinearExpr
 from repro.methods.base import TerminationMethod, register_method
 
@@ -132,7 +131,7 @@ class SizeChangeMethod(TerminationMethod):
                 with trace.span(
                     "sizechange.scc",
                     members=", ".join(str(m) for m in members),
-                ), use_kernel(pipeline.fm_kernel):
+                ):
                     scc_results.append(self._prove_scc(
                         program, members, environment, pipeline
                     ))

@@ -61,7 +61,6 @@ WIRE_SETTINGS = (
     "allow_negative_theta",
     "feasibility",
     "prune_fm",
-    "fm_kernel",
     "eliminate_w",
     "method",
 )

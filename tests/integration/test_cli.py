@@ -58,12 +58,12 @@ class TestMain:
         assert code == 1
         assert "UNKNOWN" in capsys.readouterr().out
 
-    def test_array_kernel_is_an_invalid_choice(self, perm_file, capsys):
+    def test_kernel_flag_is_gone(self, perm_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([perm_file, "--root", "perm/2", "--mode", "bf",
-                  "--kernel", "array"])
+                  "--kernel", "int"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'array'" in capsys.readouterr().err
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.pl"

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import PrologSyntaxError
-from repro.lp.parser import parse_clause_terms, parse_program, parse_query, parse_term
+from repro.lp.parser import (
+    MAX_TERM_DEPTH,
+    parse_clause_terms,
+    parse_program,
+    parse_query,
+    parse_term,
+)
 from repro.lp.terms import Atom, Struct, Var, make_list
 
 
@@ -172,3 +178,36 @@ class TestPrograms:
             assert error.line == 1
         else:
             pytest.fail("expected syntax error")
+
+
+#: Term text of depth *d* in each shape the parser builds compound
+#: terms from.  Parentheses add no depth, only parser recursion, which
+#: the same limit bounds.
+DEEP_SHAPES = {
+    "arguments": lambda d: "f(" * d + "a" + ")" * d,
+    "list": lambda d: "[" + ",".join(["a"] * d) + "]",
+    "list_tail": lambda d: "[" + ",".join(["a"] * (d - 1)) + "|f(a)]",
+    "left_assoc": lambda d: "+".join(["1"] * (d + 1)),
+    "right_assoc": lambda d: "^".join(["a"] * (d + 1)),
+    "prefix": lambda d: "- " * d + "a",
+    "parentheses": lambda d: "(" * d + "a" + ")" * d,
+}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+    def test_cap_accepted(self, shape):
+        parse_term(DEEP_SHAPES[shape](MAX_TERM_DEPTH))
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+    def test_one_above_cap_rejected(self, shape):
+        with pytest.raises(PrologSyntaxError, match="nested deeper"):
+            parse_term(DEEP_SHAPES[shape](MAX_TERM_DEPTH + 1))
+
+    def test_hostile_depth_is_a_syntax_error(self):
+        """Far past the interpreter's recursion limit: still a clean
+        syntax error, raised before the parser recurses that deep."""
+        for shape in ("arguments", "list"):
+            with pytest.raises(PrologSyntaxError):
+                parse_program("p(%s).\n" % DEEP_SHAPES[shape](100_000))
+

@@ -8,10 +8,18 @@ One sweep of the 42-program corpus per method, shared module-wide:
   least one program DISPROVED by the non-termination detector;
 - nonterm DISPROVES every ``nonterminating``-tagged entry and never a
   terminating one — the empirical ground truth is never contradicted;
-- no entry is PROVED by any method while DISPROVED by nonterm.
+- no entry is PROVED by any method while DISPROVED by nonterm;
+- a DISPROVED payload does not depend on what the process analyzed
+  before it.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.core import (
     AnalyzerSettings,
@@ -20,7 +28,7 @@ from repro.core import (
     TerminationAnalyzer,
     UNKNOWN,
 )
-from repro.corpus.registry import all_programs, load
+from repro.corpus.registry import all_programs, get_program, load
 from repro.methods import MethodRunner
 from repro.serve.protocol import payload_text, payload_from_result
 
@@ -107,3 +115,37 @@ def test_portfolio_never_worse_than_argsize(sweep):
         if sweep["argsize"][entry.name].status == PROVED:
             assert sweep["portfolio"][entry.name].status == PROVED, \
                 entry.name
+
+
+FRESH_PAYLOAD = """
+from repro.core import AnalyzerSettings
+from repro.corpus.registry import get_program, load
+from repro.methods import MethodRunner
+from repro.serve.protocol import payload_from_result, payload_text
+
+entry = get_program("loop_mutual")
+result = MethodRunner(settings=AnalyzerSettings(method="nonterm")).analyze(
+    load(entry), entry.root, entry.mode
+)
+print(payload_text(payload_from_result(result)), end="")
+"""
+
+
+def test_disproved_payload_independent_of_process_history(sweep):
+    """Loop search renames clauses apart through a process-global
+    counter, which the module's corpus sweep has advanced by
+    thousands; the reason's variables are numbered canonically, so the
+    payload here is byte for byte the one a fresh process produces."""
+    entry = get_program("loop_mutual")
+    here = MethodRunner(
+        settings=AnalyzerSettings(method="nonterm")
+    ).analyze(load(entry), entry.root, entry.mode)
+    assert here.status == DISPROVED
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", FRESH_PAYLOAD],
+        env=dict(os.environ, PYTHONPATH=source_root),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert payload_text(payload_from_result(here)) == fresh
+

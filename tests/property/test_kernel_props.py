@@ -1,23 +1,39 @@
-"""Differential properties: integer row kernel vs reference pipeline.
+"""Differential properties: integer row kernel vs the object oracle.
 
 The kernel's contract is *byte-identity*, not mere equivalence: for
-every projection the two paths must produce the same constraint rows,
-in the same canonical form, in the same insertion order.  These tests
-compare ``.constraints`` tuples directly (order-sensitive) on random
-systems, and the ``fm`` backend's verdicts and witnesses on top.
+every projection the kernel and the object pipeline kept in
+``fm_oracle.py`` must produce the same constraint rows, in the same
+canonical form, in the same insertion order.  These tests compare
+``.constraints`` tuples directly (order-sensitive) on random systems
+and on systems the analysis really builds — lifted convex hulls and
+the dualized Eq. 8 pairs of ``perm`` — and the ``fm`` backend's
+verdicts and witnesses on top.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import AnalyzerSettings, TerminationAnalyzer, clear_caches
+from repro.core import dual
 from repro.errors import FMBlowupError
 from repro.linalg.fourier_motzkin import (
     eliminate,
     eliminate_all,
     eliminate_all_tracked,
 )
+from repro.lp import parse_program
 from repro.solve import get_backend
 
+from benchmarks.test_bench_kernel import hull_lift_workload
+from tests.property.fm_oracle import (
+    oracle_eliminate,
+    oracle_eliminate_all,
+    oracle_eliminate_all_tracked,
+    oracle_feasible_point,
+)
 from tests.property.strategies import constraint_systems
 
 POOL = ("x", "y", "z", "w")
@@ -32,8 +48,8 @@ def identical(first, second):
 @settings(max_examples=120)
 def test_eliminate_byte_identical(system, var):
     assert identical(
-        eliminate(system, var, kernel="int"),
-        eliminate(system, var, kernel="reference"),
+        eliminate(system, var),
+        oracle_eliminate(system, var),
     )
 
 
@@ -41,8 +57,8 @@ def test_eliminate_byte_identical(system, var):
 @settings(max_examples=80)
 def test_eliminate_unpruned_byte_identical(system, var):
     assert identical(
-        eliminate(system, var, prune=False, kernel="int"),
-        eliminate(system, var, prune=False, kernel="reference"),
+        eliminate(system, var, prune=False),
+        oracle_eliminate(system, var, prune=False),
     )
 
 
@@ -53,8 +69,8 @@ def test_eliminate_unpruned_byte_identical(system, var):
 @settings(max_examples=80, deadline=None)
 def test_eliminate_all_byte_identical(system, targets):
     assert identical(
-        eliminate_all(system, targets, kernel="int"),
-        eliminate_all(system, targets, kernel="reference"),
+        eliminate_all(system, targets),
+        oracle_eliminate_all(system, targets),
     )
 
 
@@ -65,10 +81,8 @@ def test_eliminate_all_byte_identical(system, targets):
 @settings(max_examples=60, deadline=None)
 def test_eliminate_all_with_lp_prune_byte_identical(system, targets):
     assert identical(
-        eliminate_all(system, targets, lp_prune_threshold=8, kernel="int"),
-        eliminate_all(
-            system, targets, lp_prune_threshold=8, kernel="reference"
-        ),
+        eliminate_all(system, targets, lp_prune_threshold=8),
+        oracle_eliminate_all(system, targets, lp_prune_threshold=8),
     )
 
 
@@ -78,14 +92,13 @@ def test_eliminate_all_with_lp_prune_byte_identical(system, targets):
 )
 @settings(max_examples=60, deadline=None)
 def test_tracked_elimination_byte_identical(system, targets):
-    """Same projection — or the same blow-up — from both kernels."""
+    """Same projection — or the same blow-up — from kernel and oracle."""
     try:
-        from_int = eliminate_all_tracked(system, targets, kernel="int")
+        from_int = eliminate_all_tracked(system, targets)
     except FMBlowupError:
         from_int = None
     try:
-        from_ref = eliminate_all_tracked(system, targets,
-                                         kernel="reference")
+        from_ref = oracle_eliminate_all_tracked(system, targets)
     except FMBlowupError:
         from_ref = None
     if from_int is None or from_ref is None:
@@ -101,9 +114,68 @@ def test_fm_backend_verdicts_identical(system):
     row count, the same witness — and the witness satisfies the
     system."""
     from_int = get_backend("fm").feasible_point(system)
-    from_ref = get_backend("fm", kernel="reference").feasible_point(system)
-    assert from_int.feasible == from_ref.feasible
-    assert from_int.stats.rows_out == from_ref.stats.rows_out
+    feasible, rows_out, witness = oracle_feasible_point(system)
+    assert from_int.feasible == feasible
+    assert from_int.stats.rows_out == rows_out
     if from_int.feasible:
-        assert from_int.witness == from_ref.witness
+        assert from_int.witness == witness
         assert system.satisfied_by(from_int.witness)
+
+
+# -- systems the analysis builds ----------------------------------------------
+
+
+@pytest.mark.parametrize("nd", [2, 3, 4])
+def test_hull_lift_byte_identical(nd):
+    """The lifted system ``join_exact`` projects for an nd-dimensional
+    convex hull."""
+    lifted, to_eliminate = hull_lift_workload(nd)
+    assert identical(
+        eliminate_all_tracked(lifted, to_eliminate),
+        oracle_eliminate_all_tracked(lifted, to_eliminate),
+    )
+
+
+PERM = """
+perm([], []).
+perm(P, [X|L]) :- append(E, [X|F], P), append(E, F, P1), perm(P1, L).
+append([], Ys, Ys).
+append([X|Xs], Ys, [X|Zs]) :- append(Xs, Ys, Zs).
+"""
+
+
+def perm_eq8_pairs():
+    """Every ``(Eq. 8 system, w multipliers)`` pair the pipeline hands
+    to Fourier–Motzkin while analyzing ``perm/2`` in mode ``bf``."""
+    captured = []
+    real = dual.eliminate_all
+
+    def spy(system, variables, **options):
+        captured.append((system, tuple(variables)))
+        return real(system, variables, **options)
+
+    clear_caches()
+    with mock.patch.object(dual, "eliminate_all", spy):
+        result = TerminationAnalyzer(
+            parse_program(PERM), AnalyzerSettings()
+        ).analyze(("perm", 2), "bf")
+    assert result.proved
+    return captured
+
+
+def test_perm_eq8_pairs_byte_identical():
+    pairs = perm_eq8_pairs()
+    assert any(multipliers for _, multipliers in pairs)
+    for system, multipliers in pairs:
+        assert identical(
+            eliminate_all(system, multipliers),
+            oracle_eliminate_all(system, multipliers),
+        )
+        for var in multipliers:
+            assert identical(
+                eliminate(system, var), oracle_eliminate(system, var)
+            )
+        feasible, rows_out, witness = oracle_feasible_point(system)
+        outcome = get_backend("fm").feasible_point(system)
+        assert (outcome.feasible, outcome.stats.rows_out, outcome.witness) \
+            == (feasible, rows_out, witness)

@@ -18,8 +18,9 @@ import pytest
 from repro.batch import as_batch_item
 from repro.core import TerminationAnalyzer
 from repro.corpus import all_programs
-from repro.errors import ServeError
+from repro.errors import PrologSyntaxError, ServeError
 from repro.lp import parse_program
+from repro.lp.parser import MAX_TERM_DEPTH
 from repro.obs import METRICS
 from repro.obs.sinks import read_trace
 from repro.serve.app import ServeApp
@@ -162,15 +163,15 @@ class TestEndpoints:
             )
             assert status == 400
 
-    def test_removed_array_kernel_is_400(self, tmp_path):
+    def test_removed_fm_kernel_setting_is_400(self, tmp_path):
         body = {"source": APPEND, "root": "append/3", "mode": "bbf",
-                "settings": {"fm_kernel": "array"}}
+                "settings": {"fm_kernel": "int"}}
         with serve(tmp_path) as (app, client):
             status, _, text = client._request(
                 "POST", "/v1/analyze", json.dumps(body).encode()
             )
         assert status == 400
-        assert "unknown fm_kernel 'array'" in text
+        assert "unknown setting(s): fm_kernel" in text
 
     def test_undefined_root_is_400_with_message(self, tmp_path):
         with serve(tmp_path) as (app, client):
@@ -178,6 +179,48 @@ class TestEndpoints:
                 client.analyze(APPEND, ("appendd", 3), "bbf")
             assert excinfo.value.status == 400
             assert "appendd/3" in str(excinfo.value)
+
+
+def deep_request(shape, depth, method="argsize"):
+    """A request whose fact ``p(T)`` is a term *depth* deep (``T`` is
+    one level less): nested ``f(...)`` or a list of atoms.  The other
+    clauses make ``p`` recursive, so every stage of every method runs
+    over the deep term."""
+    inner = depth - 1
+    term = ("f(" * inner + "a" + ")" * inner if shape == "nested"
+            else "[" + ",".join(["a"] * inner) + "]")
+    return {
+        "source": "p(%s).\np([X|Xs]) :- p(Xs).\np(f(X)) :- p(X).\n" % term,
+        "root": "p/1", "mode": "b", "settings": {"method": method},
+    }
+
+
+class TestHostileNesting:
+    @pytest.mark.parametrize("shape", ["nested", "list"])
+    @pytest.mark.parametrize(
+        "method", ["argsize", "sizechange", "nonterm", "portfolio"]
+    )
+    def test_term_at_the_cap_analyzes(self, shape, method):
+        payload = solve_wire(deep_request(shape, MAX_TERM_DEPTH, method))[0]
+        assert payload["status"] == (
+            "UNKNOWN" if method == "nonterm" else "PROVED"
+        )
+
+    @pytest.mark.parametrize("shape", ["nested", "list"])
+    def test_one_above_the_cap_is_a_syntax_error(self, shape):
+        with pytest.raises(PrologSyntaxError, match="nested deeper"):
+            solve_wire(deep_request(shape, MAX_TERM_DEPTH + 1))
+
+    def test_endpoint_answers_400_and_keeps_serving(self, tmp_path):
+        with serve(tmp_path) as (app, client):
+            for shape in ("nested", "list"):
+                body = deep_request(shape, MAX_TERM_DEPTH + 1)
+                status, _, text = client._request(
+                    "POST", "/v1/analyze", json.dumps(body).encode()
+                )
+                assert status == 400
+                assert "nested deeper" in text
+            assert client.analyze(APPEND, ("append", 3), "bbf").proved
 
 
 class TestStoreIntegration:
