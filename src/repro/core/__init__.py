@@ -22,7 +22,8 @@ Pipeline (Sections 3–6 of the paper):
    pipeline, returning :class:`~repro.core.certificate.TerminationProof`
    certificates.
 7. :mod:`repro.core.verifier` — independently re-check certificates by
-   solving the *primal* LP Eq. 4 with the exact simplex.
+   solving the *primal* LP Eq. 4 with the exact simplex, and replay the
+   loop witnesses behind DISPROVED verdicts.
 """
 
 from repro.core.adornment import (
@@ -51,13 +52,18 @@ from repro.core.pipeline import (
 )
 from repro.core.capture import CapturePlan, plan_capture_rules
 from repro.core.certcache import MemoryCertificateCache
-from repro.core.certificate import SCCProof, TerminationProof
+from repro.core.certificate import (
+    DerivationWitness,
+    LoopWitness,
+    SCCProof,
+    TerminationProof,
+)
 from repro.core.fingerprint import (
     canonical_polyhedron,
     env_scc_fingerprint,
     scc_certificate_fingerprint,
 )
-from repro.core.verifier import VerificationError, verify_proof
+from repro.core.verifier import VerificationError, verify_loop, verify_proof
 from repro.core.wellmoded import ModeReport, check_well_moded
 
 __all__ = [
@@ -85,7 +91,10 @@ __all__ = [
     "scc_certificate_fingerprint",
     "SCCProof",
     "TerminationProof",
+    "LoopWitness",
+    "DerivationWitness",
     "VerificationError",
+    "verify_loop",
     "verify_proof",
     "CapturePlan",
     "plan_capture_rules",

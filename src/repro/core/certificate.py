@@ -89,5 +89,58 @@ class TerminationProof:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class LoopEntry:
+    """How a root query reaches a loop of another predicate: the
+    derived leftmost binary clause ``head <- body`` composed from the
+    program clauses at indices ``chain``, with ``body`` an instance of
+    the loop's head: ``body == loop head . sigma``."""
+
+    chain: tuple                   # program clause indices, in order
+    head: object
+    body: object
+    sigma: dict
+
+
+@dataclass(frozen=True)
+class LoopWitness:
+    """Certificate of a DISPROVED verdict (see
+    :func:`repro.core.verifier.verify_loop`).
+
+    The leftmost binary clauses of the program clauses at indices
+    ``chain`` compose to ``head <- body`` with ``body == head . theta``:
+    every call matching ``head`` calls an instance of ``head`` again, so
+    each such call diverges.  ``query`` is a root query in ``mode``
+    that is an instance of ``head`` -- or, when ``entry`` is set, of
+    ``entry.head``, whose calls reach the loop.
+    """
+
+    chain: tuple                   # program clause indices, in order
+    head: object
+    body: object
+    theta: dict
+    query: object
+    mode: str
+    entry: LoopEntry = None
+
+
+@dataclass(frozen=True)
+class DerivationWitness:
+    """Certificate of a DISPROVED verdict found on the SLD engine.
+
+    Resolving the leftmost user call with the program clauses at
+    indices ``chain``, in order (builtins ``=``/``true`` solved in
+    between), takes ``query`` to a goal list whose first call
+    subsumes the call made after ``start`` steps — which is still open
+    then.  By the lifting lemma the more general call replays the same
+    steps forever.
+    """
+
+    chain: tuple                   # program clause indices, in order
+    start: int
+    query: object
+    mode: str
+
+
 def _names(members):
     return "{%s}" % ", ".join(str(m) for m in members)

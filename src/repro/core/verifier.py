@@ -17,17 +17,27 @@ closure.
 A certificate that passes both checks is correct by the paper's
 argument regardless of any bug in the FM/dual path — the two pipelines
 share only the Eq. 1 construction.
+
+:func:`verify_loop` does the same for a DISPROVED verdict: it replays
+the loop witness against the program text alone — purity, the
+resolution steps through the named clauses, the instance relations
+and the shape of the diverging query — sharing nothing with the search
+that found the loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from repro.core.certificate import DerivationWitness
 from repro.errors import ReproError
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.simplex import INFEASIBLE, UNBOUNDED, solve_lp
 from repro.graph.minplus import find_nonpositive_cycle
+from repro.lp.program import BUILTIN_PREDICATES
+from repro.lp.terms import Struct, Var
+from repro.lp.unify import apply_subst, match, rename_apart, substitute, unify
 
 
 class VerificationError(ReproError):
@@ -123,3 +133,194 @@ def _check_decrease(proof, system):
             "decrease fails for rule %s: min(lambda.x - lambda.y) = %s "
             "< theta = %s" % (system.clause, result.value, theta)
         )
+
+
+# -- non-termination witnesses -------------------------------------------------
+
+#: Builtins the loop criteria stay sound across: pure unification and
+#: the constant outcomes.  Everything else (cut, negation, arithmetic,
+#: term comparisons) can prune or reorder the looping branch.
+_PURE_BUILTINS = frozenset({("=", 2), ("true", 0), ("fail", 0)})
+
+
+def is_pure_program(program):
+    """True when every body literal is positive and every builtin used
+    is loop-criterion-safe: the programs a loop can disprove."""
+    for clause in program.clauses:
+        for literal in clause.body:
+            if not literal.positive:
+                return False
+            indicator = literal.indicator
+            if indicator in BUILTIN_PREDICATES:
+                if indicator not in _PURE_BUILTINS:
+                    return False
+    return True
+
+
+def verify_loop(program, witness):
+    """Replay a :class:`~repro.core.certificate.LoopWitness` or a
+    :class:`~repro.core.certificate.DerivationWitness`.
+
+    Returns True when the witness proves that its query diverges under
+    the leftmost selection rule; raises :class:`VerificationError`
+    naming the first check that fails otherwise.
+    """
+    if not is_pure_program(program):
+        raise VerificationError(
+            "program uses cut, negation, or a non-monotone builtin"
+        )
+    if isinstance(witness, DerivationWitness):
+        _check_derivation(program, witness)
+        return True
+    _check_chain(program, witness.chain, witness.head, witness.body)
+    if substitute(witness.head, witness.theta) != witness.body:
+        raise VerificationError(
+            "loop body %s is not head %s under theta"
+            % (witness.body, witness.head)
+        )
+    start = witness.head
+    entry = witness.entry
+    if entry is not None:
+        _check_chain(program, entry.chain, entry.head, entry.body)
+        if substitute(witness.head, entry.sigma) != entry.body:
+            raise VerificationError(
+                "entry body %s is not loop head %s under sigma"
+                % (entry.body, witness.head)
+            )
+        start = entry.head
+    _check_query(witness.query, start, witness.mode)
+    return True
+
+
+def _check_chain(program, chain, head, body):
+    """The leftmost binary clauses of ``program.clauses[i]`` for ``i``
+    in *chain* compose (mgu with occurs check) to a variant of
+    ``head <- body``."""
+    if not chain:
+        raise VerificationError("empty clause chain")
+    clauses = program.clauses
+    derived = None
+    for index in chain:
+        if not 0 <= index < len(clauses):
+            raise VerificationError("no clause %r" % (index,))
+        clause = rename_apart(clauses[index])
+        first = clause.body[0] if clause.body else None
+        if (first is None or not first.positive
+                or first.indicator in BUILTIN_PREDICATES):
+            raise VerificationError(
+                "clause %d has no leftmost user call" % index
+            )
+        if derived is None:
+            derived = (clause.head, first.atom)
+            continue
+        mgu = unify(derived[1], clause.head, occurs_check=True)
+        if mgu is None:
+            raise VerificationError(
+                "call %s does not unify with the head of clause %d"
+                % (derived[1], index)
+            )
+        derived = (apply_subst(derived[0], mgu), apply_subst(first.atom, mgu))
+    replayed, claimed = Struct("<-", derived), Struct("<-", (head, body))
+    if match(replayed, claimed) is None or match(claimed, replayed) is None:
+        raise VerificationError(
+            "clauses %s compose to %s <- %s, not a variant of %s <- %s"
+            % (list(chain), derived[0], derived[1], head, body)
+        )
+
+
+def _check_query(query, head, mode):
+    """*query* is an instance of *head*, ground at the bound positions
+    of *mode* and distinct variables at the free ones."""
+    args = query.args if isinstance(query, Struct) else ()
+    if len(args) != len(mode):
+        raise VerificationError(
+            "query %s does not have mode %s" % (query, mode)
+        )
+    if match(head, query) is None:
+        raise VerificationError(
+            "query %s is not an instance of %s" % (query, head)
+        )
+    free = set()
+    for arg, polarity in zip(args, mode):
+        if polarity == "b":
+            if not arg.is_ground():
+                raise VerificationError(
+                    "bound argument %s of query %s is not ground"
+                    % (arg, query)
+                )
+        elif not isinstance(arg, Var) or arg in free:
+            raise VerificationError(
+                "free argument %s of query %s is not a distinct variable"
+                % (arg, query)
+            )
+        else:
+            free.add(arg)
+
+
+def _check_derivation(program, witness):
+    """Replay the SLD steps of a :class:`DerivationWitness` from its
+    query: the call made after ``start`` steps must stay open to the
+    end and be an instance of the call the steps end at."""
+    _check_query(witness.query, witness.query, witness.mode)
+    if not 0 <= witness.start < len(witness.chain):
+        raise VerificationError(
+            "step %r is not inside the derivation" % (witness.start,)
+        )
+    clauses = program.clauses
+    goals = [witness.query]
+    ancestor = None
+    for step, index in enumerate(witness.chain + (None,)):
+        goals = _solve_builtins(goals)
+        if step == witness.start and goals:
+            ancestor, open_goals = goals[0], len(goals)
+        elif ancestor is not None and len(goals) < open_goals:
+            raise VerificationError(
+                "the call %s completes at step %d" % (ancestor, step)
+            )
+        if index is None:
+            break
+        if not goals:
+            raise VerificationError("no call left at step %d" % step)
+        if not 0 <= index < len(clauses):
+            raise VerificationError("no clause %r" % (index,))
+        clause = rename_apart(clauses[index])
+        mgu = unify(goals[0], clause.head, occurs_check=True)
+        if mgu is None:
+            raise VerificationError(
+                "call %s does not unify with the head of clause %d"
+                % (goals[0], index)
+            )
+        goals = [
+            apply_subst(goal, mgu)
+            for goal in [lit.atom for lit in clause.body] + goals[1:]
+        ]
+    if ancestor is None:
+        raise VerificationError(
+            "no call after step %d of the derivation" % witness.start
+        )
+    if not goals or match(goals[0], ancestor) is None:
+        raise VerificationError(
+            "the derivation does not end at a call that subsumes %s"
+            % (ancestor,)
+        )
+
+
+def _solve_builtins(goals):
+    """Drop the leading ``true`` calls and solve the leading ``=``
+    calls (with occurs check) of a goal list."""
+    while goals:
+        first = goals[0]
+        name = first.functor if isinstance(first, Struct) else first.name
+        arity = len(first.args) if isinstance(first, Struct) else 0
+        if (name, arity) == ("true", 0):
+            goals = goals[1:]
+        elif (name, arity) == ("=", 2):
+            mgu = unify(first.args[0], first.args[1], occurs_check=True)
+            if mgu is None:
+                raise VerificationError("%s fails" % (first,))
+            goals = [apply_subst(goal, mgu) for goal in goals[1:]]
+        elif (name, arity) in BUILTIN_PREDICATES:
+            raise VerificationError("builtin %s on the derivation" % (first,))
+        else:
+            break
+    return goals

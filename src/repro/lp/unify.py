@@ -9,6 +9,7 @@ instantiates a term.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from repro.lp.terms import Atom, Struct, Term, Var
 
@@ -24,7 +25,10 @@ def apply_subst(term, subst):
         return apply_subst(bound, subst) if bound != term else term
     if isinstance(term, Struct):
         new_args = tuple(apply_subst(arg, subst) for arg in term.args)
-        if new_args == term.args:
+        # Unchanged subterms come back as the same object, so identity
+        # decides "unchanged" exactly -- and in O(arity), where ``==``
+        # would recurse through the whole term at every level.
+        if all(map(operator.is_, new_args, term.args)):
             return term
         return Struct(term.functor, new_args)
     return term
@@ -62,15 +66,56 @@ def compose_subst(first, second):
 
 def occurs_in(var, term, subst):
     """True if *var* occurs in *term* under *subst*."""
+    # Dereference node by node: every subterm is visited once, where
+    # applying the substitution at each node rebuilds its whole subtree.
     stack = [term]
     while stack:
-        current = apply_subst(stack.pop(), subst)
+        current = _walk(stack.pop(), subst)
         if isinstance(current, Var):
             if current == var:
                 return True
         elif isinstance(current, Struct):
             stack.extend(current.args)
     return False
+
+
+def match(general, specific):
+    """One-way matching: the substitution ``theta`` over *general*'s
+    variables with ``substitute(general, theta) == specific``, or None
+    when *specific* is not an instance of *general* (variants included).
+
+    *specific*'s variables act as constants, so the two terms may share
+    variables (the head and body of one clause, say).
+    """
+    theta = {}
+    stack = [(general, specific)]
+    while stack:
+        g, s = stack.pop()
+        if isinstance(g, Var):
+            if theta.setdefault(g, s) != s:
+                return None
+        elif isinstance(g, Struct):
+            if not (isinstance(s, Struct) and s.functor == g.functor
+                    and len(s.args) == len(g.args)):
+                return None
+            stack.extend(zip(g.args, s.args))
+        elif g != s:
+            return None
+    return theta
+
+
+def substitute(term, mapping):
+    """Replace each variable of *term* by its image under *mapping*, all
+    at once: unlike :func:`apply_subst`, an image is never substituted
+    into again, so *mapping* may send variables to terms over the same
+    variables (``X -> Y, Y -> X`` swaps them)."""
+    if isinstance(term, Var):
+        return mapping.get(term, term)
+    if isinstance(term, Struct):
+        return Struct(
+            term.functor, tuple(substitute(a, mapping) for a in term.args)
+        )
+    return term
 
 
 def unify(left, right, subst=None, occurs_check=True):

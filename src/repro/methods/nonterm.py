@@ -1,7 +1,7 @@
 """Non-termination detector: DISPROVED verdicts from looping derivations.
 
-Two cooperating detectors, both sound for the leftmost (Prolog)
-selection rule the paper analyzes:
+Two detectors, both sound for the leftmost (Prolog) selection rule the
+paper analyzes:
 
 **Static loop inference over binary unfoldings.**  Each clause
 ``H :- B1, ...`` whose first body literal ``B1`` is a positive user
@@ -14,25 +14,34 @@ describing multi-step leftmost call chains.  A *loop* is a derived
 self-clause whose body is an **instance of its head** (``B = H·theta``,
 variants included): by induction, every call matching ``H`` reaches —
 in one or more resolution steps — another call matching ``H``, so every
-instance of ``H`` heads an infinite derivation.  When the loop head's
-predicate is the analysis root and its free-mode positions are
-distinct, independent variables, any grounding of the bound positions
-is a mode-compliant diverging query — the exported witness.
+instance of ``H`` heads an infinite derivation.  A derived clause of
+the root whose body is an instance of some loop's head *reaches* that
+loop: every call matching its head diverges too, and composition stops
+there, since everything beyond it diverges already.  When such a head
+has distinct, independent variables at the root mode's free positions,
+any grounding of its bound positions is a mode-compliant diverging
+query.
 
-**Dynamic ancestor subsumption on the SLD engine.**  A subclass of
-:class:`~repro.lp.engine.SLDEngine` snapshots every user-predicate
-call (current substitution applied, at call time) on an ancestor
-stack and stops when the current call *subsumes* an open ancestor —
-the ancestor is an instance of the current, strictly more general,
-goal.  By the lifting lemma the more general goal can replay the
-clause sequence that led from the ancestor to it, producing an
-ever-more-general infinite chain: a real infinite branch of the SLD
-tree.  The stack holds only *open* calls (entries are popped while a
-call's solution is being consumed by its continuation and re-pushed
-on backtracking), so sibling goals can never be mistaken for
-ancestors.  The dynamic detector confirms static witnesses and hunts
-loops the first-literal restriction misses, driving the engine's
-existing depth/step budgets.
+A static loop is a proof by itself; no SLD run confirms it.  Its
+DISPROVED carries a :class:`~repro.core.certificate.LoopWitness` — the
+indices of the composed clauses, ``H``, ``B``, ``theta`` and the query
+(for a reached loop, the root's chain too) — and is emitted only after
+:func:`repro.core.verifier.verify_loop` replays that witness against
+the program text.
+
+**Dynamic ancestor subsumption on the SLD engine.**  For loops the
+first-literal restriction misses, a subclass of
+:class:`~repro.lp.engine.SLDEngine` runs probe queries built from the
+program's own ground terms.  It snapshots every user-predicate call
+(current substitution applied, at call time) on an ancestor stack and
+stops when the current call *subsumes* an open ancestor — the ancestor
+is an instance of the current, strictly more general, goal.  By the
+lifting lemma the more general goal can replay the clause sequence
+that led from the ancestor to it, producing an ever-more-general
+infinite chain: a real infinite branch of the SLD tree.  The stack
+holds only *open* calls (entries are popped while a call's solution is
+being consumed by its continuation and re-pushed on backtracking), so
+sibling goals can never be mistaken for ancestors.
 
 Both criteria argue "this branch of the SLD tree is infinite, and the
 engine's depth-first search will walk it".  Cut breaks that argument
@@ -53,9 +62,15 @@ come back UNKNOWN.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from repro.core.adornment import adorned_call_graph
 from repro.core.analyzer import AnalyzerSettings
+from repro.core.certificate import (
+    DerivationWitness,
+    LoopEntry,
+    LoopWitness,
+)
 from repro.core.pipeline import (
     DISPROVED,
     UNKNOWN,
@@ -63,11 +78,18 @@ from repro.core.pipeline import (
     AnalysisTrace,
     SCCResult,
 )
+from repro.core.verifier import VerificationError, is_pure_program, verify_loop
 from repro.errors import EngineLimitError, UnificationError
 from repro.lp.engine import SLDEngine
 from repro.lp.program import BUILTIN_PREDICATES, Clause, Literal
 from repro.lp.terms import Atom, Struct, Var, term_variables, terms_variables
-from repro.lp.unify import apply_subst, rename_apart, unify
+from repro.lp.unify import (
+    apply_subst,
+    match,
+    rename_apart,
+    substitute,
+    unify,
+)
 from repro.methods.base import TerminationMethod, register_method
 
 #: Default budgets: derived binary clauses explored statically, and the
@@ -85,59 +107,42 @@ DEFAULT_TERM_NODE_LIMIT = 200
 _PROBE_TERMS_PER_POSITION = 2
 _PROBE_QUERY_LIMIT = 8
 
-
-# -- one-way matching ---------------------------------------------------------
-
-
-def _match(general, specific, bindings):
-    if isinstance(general, Var):
-        bound = bindings.get(general)
-        if bound is None:
-            bindings[general] = specific
-            return True
-        return bound == specific
-    if isinstance(general, Struct):
-        return (
-            isinstance(specific, Struct)
-            and specific.functor == general.functor
-            and len(specific.args) == len(general.args)
-            and all(
-                _match(g, s, bindings)
-                for g, s in zip(general.args, specific.args)
-            )
-        )
-    return general == specific
+_LOOP_REASON = (
+    "looping derivation: %s calls %s (instance of its own head); "
+    "diverging witness query %s"
+)
+_REACH_REASON = (
+    "looping derivation: %s calls %s and so reaches loop %s calls %s "
+    "(instance of its own head); diverging witness query %s"
+)
 
 
 def is_instance_of(specific, general):
     """True when ``specific = general . theta`` for some substitution
     (variants included)."""
-    return _match(general, specific, {})
-
-
-# -- purity gate --------------------------------------------------------------
-
-#: Builtins the loop criteria stay sound across: pure unification and
-#: the constant outcomes.  Everything else (cut, negation, arithmetic,
-#: term comparisons) can prune or reorder the looping branch.
-_PURE_BUILTINS = frozenset({("=", 2), ("true", 0), ("fail", 0)})
-
-
-def is_pure_program(program):
-    """True when every body literal is positive and every builtin used
-    is loop-criterion-safe (see module docstring)."""
-    for clause in program.clauses:
-        for literal in clause.body:
-            if not literal.positive:
-                return False
-            indicator = literal.indicator
-            if indicator in BUILTIN_PREDICATES:
-                if indicator not in _PURE_BUILTINS:
-                    return False
-    return True
+    return match(general, specific) is not None
 
 
 # -- static loop inference ----------------------------------------------------
+
+
+class BinaryClause(NamedTuple):
+    """A derived leftmost binary clause ``head <- body`` and the program
+    clause indices whose leftmost binary clauses compose to it."""
+
+    head: object
+    body: object
+    chain: tuple
+
+
+class StaticLoops(NamedTuple):
+    """What the composition closure found: the ``loops`` (body an
+    instance of the head) and the ``entries`` — ``(clause, loop)``
+    pairs where a derived clause of the root calls an instance of the
+    head of a loop."""
+
+    loops: list
+    entries: list
 
 
 def _indicator(atom):
@@ -176,7 +181,7 @@ def _variant_key(head, body):
 def leftmost_binary_clauses(program):
     """The program's leftmost binary clauses ``H <- B1``."""
     pairs = []
-    for clause in program.clauses:
+    for index, clause in enumerate(program.clauses):
         if not clause.body:
             continue
         first = clause.body[0]
@@ -184,52 +189,74 @@ def leftmost_binary_clauses(program):
             continue
         if first.indicator in BUILTIN_PREDICATES:
             continue
-        pairs.append((clause.head, first.atom))
+        pairs.append(BinaryClause(clause.head, first.atom, (index,)))
     return pairs
 
 
-def find_static_loops(program, compose_limit=DEFAULT_COMPOSE_LIMIT):
+def _reached_loop(body, loops):
+    """The first loop whose head *body* is an instance of, or None."""
+    for loop in loops:
+        if (_indicator(loop.head) == _indicator(body)
+                and is_instance_of(body, loop.head)):
+            return loop
+    return None
+
+
+def find_static_loops(program, compose_limit=DEFAULT_COMPOSE_LIMIT,
+                      root=None):
     """Loops among the budgeted composition closure of the leftmost
-    binary clauses: derived pairs ``(H, B)`` with ``B`` an instance of
-    ``H``.  Sound: every instance of ``H`` diverges."""
+    binary clauses, and the derived clauses of *root* that reach one.
+
+    Sound: every instance of a loop's head diverges, and so does every
+    instance of an entry's head.
+    """
     base = leftmost_binary_clauses(program)
     by_indicator = {}
-    for head, body in base:
-        by_indicator.setdefault(_indicator(head), []).append((head, body))
+    for pair in base:
+        by_indicator.setdefault(_indicator(pair.head), []).append(pair)
     seen = set()
     queue = []
     for pair in base:
-        key = _variant_key(*pair)
+        key = _variant_key(pair.head, pair.body)
         if key not in seen:
             seen.add(key)
             queue.append(pair)
     loops = []
-    explored = 0
     index = 0
-    while index < len(queue) and explored < compose_limit:
-        head, body = queue[index]
+    while index < len(queue) and index < compose_limit:
+        pair = queue[index]
+        head, body, chain = pair
         index += 1
-        explored += 1
         if _indicator(head) == _indicator(body) and is_instance_of(body, head):
-            loops.append((head, body))
+            loops.append(pair)
             continue  # already a loop; composing further adds nothing
-        for head2, body2 in by_indicator.get(_indicator(body), ()):
+        if _reached_loop(body, loops) is not None:
+            continue  # every call beyond this one diverges already
+        for head2, body2, chain2 in by_indicator.get(_indicator(body), ()):
             renamed = rename_apart(Clause(head=head2, body=(Literal(body2),)))
             theta = unify(body, renamed.head, {}, occurs_check=True)
             if theta is None:
                 continue
-            derived = (
+            derived = BinaryClause(
                 apply_subst(head, theta),
                 apply_subst(renamed.body[0].atom, theta),
+                chain + chain2,
             )
-            if (_term_nodes(derived[0]) + _term_nodes(derived[1])
+            if (_term_nodes(derived.head) + _term_nodes(derived.body)
                     > DEFAULT_TERM_NODE_LIMIT):
                 continue
-            key = _variant_key(*derived)
+            key = _variant_key(derived.head, derived.body)
             if key not in seen:
                 seen.add(key)
                 queue.append(derived)
-    return loops
+    entries = []
+    for pair in queue[:index]:
+        if _indicator(pair.head) != root or pair in loops:
+            continue
+        loop = _reached_loop(pair.body, loops)
+        if loop is not None:
+            entries.append((pair, loop))
+    return StaticLoops(loops, entries)
 
 
 def _loop_witness(head, mode):
@@ -275,17 +302,7 @@ def _canonical_reason(template, *terms):
     renaming = {}
     for var in terms_variables(terms):
         renaming[var] = Var("_%d" % len(renaming))
-
-    # One step per variable: apply_subst would chase a source
-    # variable that is itself named ``_N`` into another number.
-    def rename(term):
-        if isinstance(term, Var):
-            return renaming[term]
-        if isinstance(term, Struct):
-            return Struct(term.functor, tuple(rename(a) for a in term.args))
-        return term
-
-    return template % tuple(rename(term) for term in terms)
+    return template % tuple(substitute(term, renaming) for term in terms)
 
 
 # -- dynamic ancestor subsumption ---------------------------------------------
@@ -293,13 +310,17 @@ def _canonical_reason(template, *terms):
 
 class LoopFound(Exception):
     """Raised inside the hunting engine when the current call subsumes
-    an open ancestor — evidence of an infinite SLD branch."""
+    an open ancestor — evidence of an infinite SLD branch.  ``path``
+    holds the clauses resolved from the query to the current call;
+    the ancestor was called after the first ``start`` of them."""
 
-    def __init__(self, goal, ancestor):
+    def __init__(self, goal, ancestor, path, start):
         super().__init__("looping derivation: %s recurs above %s"
                          % (ancestor, goal))
         self.goal = goal
         self.ancestor = ancestor
+        self.path = path
+        self.start = start
 
 
 class LoopingSLDEngine(SLDEngine):
@@ -318,12 +339,15 @@ class LoopingSLDEngine(SLDEngine):
 
     def _call(self, atom, indicator, subst, depth):
         snapshot = apply_subst(atom, subst)
-        for ancestor_indicator, ancestor in self._ancestors:
-            if ancestor_indicator != indicator:
+        size = _term_nodes(snapshot)
+        for ancestor_indicator, ancestor_size, ancestor, start \
+                in self._ancestors:
+            # An instance is never smaller than the term it instantiates.
+            if ancestor_indicator != indicator or ancestor_size < size:
                 continue
             if is_instance_of(ancestor, snapshot):
-                raise LoopFound(snapshot, ancestor)
-        entry = (indicator, snapshot)
+                raise LoopFound(snapshot, ancestor, tuple(self._path), start)
+        entry = (indicator, size, snapshot, len(self._path))
         inner = super()._call(atom, indicator, subst, depth)
         self._ancestors.append(entry)
         try:
@@ -395,28 +419,29 @@ class NonTerminationMethod(TerminationMethod):
                     program, root, mode, UNKNOWN,
                     "program uses cut, negation, or a non-monotone "
                     "builtin; the loop criteria would be unsound under "
-                    "pruning", members, nodes, settings, trace,
+                    "pruning", None, members, nodes, settings, trace,
                 )
             with trace.span("nonterm.static"):
-                loops = find_static_loops(
-                    program, compose_limit=self.compose_limit
+                static = find_static_loops(
+                    program, compose_limit=self.compose_limit, root=root
                 )
-            verdict = self._decide(program, root, mode, loops, trace)
+            verdict = self._decide(program, root, mode, static, trace)
             if verdict is not None:
-                status, reason = verdict
+                status, reason, witness = verdict
             else:
-                status, reason = UNKNOWN, (
+                status, witness = UNKNOWN, None
+                reason = (
                     "no looping derivation found within budget "
                     "(%d derived binary clauses, %d engine steps)"
                     % (self.compose_limit, self.engine_steps)
                 )
             return self._result(
-                program, root, mode, status, reason, members, nodes,
-                settings, trace,
+                program, root, mode, status, reason, witness, members,
+                nodes, settings, trace,
             )
 
-    def _result(self, program, root, mode, status, reason, members, nodes,
-                settings, trace):
+    def _result(self, program, root, mode, status, reason, witness,
+                members, nodes, settings, trace):
         return AnalysisResult(
             program=program,
             root=root,
@@ -427,6 +452,7 @@ class NonTerminationMethod(TerminationMethod):
                 status=status,
                 reason=reason,
                 method=self.name,
+                witness=witness,
             )],
             nodes=tuple(nodes),
             environment=None,
@@ -435,33 +461,50 @@ class NonTerminationMethod(TerminationMethod):
             method=self.name,
         )
 
-    def _decide(self, program, root, mode, loops, trace):
-        """(status, reason) when a loop disproves the root, else None."""
-        # 1. Static root loops with a mode-compliant witness disprove
-        #    outright; the engine confirms when the budget allows.
-        for head, body in loops:
-            if _indicator(head) != root:
+    def _decide(self, program, root, mode, static, trace):
+        """(status, reason, witness) when a loop disproves the root,
+        else None."""
+        # 1. A root loop with a mode-compliant query disproves outright.
+        for loop in static.loops:
+            if _indicator(loop.head) != root:
                 continue
-            witness = _loop_witness(head, mode)
-            if witness is None:
+            query = _loop_witness(loop.head, mode)
+            if query is None:
                 continue
-            with trace.span("nonterm.dynamic", query=str(witness)):
-                confirmed = hunt_looping_derivation(
-                    program, witness,
-                    max_depth=self.engine_depth,
-                    max_steps=self.engine_steps,
-                )
-            reason = _canonical_reason(
-                "looping derivation: %s calls %s (instance of its own "
-                "head); diverging witness query %s",
-                head, body, witness,
+            witness = LoopWitness(
+                chain=loop.chain, head=loop.head, body=loop.body,
+                theta=match(loop.head, loop.body), query=query, mode=mode,
             )
-            if confirmed:
-                reason += " [confirmed by SLD engine]"
-            return DISPROVED, reason
-        # 2. Loops in other predicates (or mode-incompatible heads)
-        #    disprove only if a concrete root query demonstrably
-        #    reaches one — probe with program-derived ground terms.
+            reason = _canonical_reason(
+                _LOOP_REASON, loop.head, loop.body, query
+            )
+            return self._certified(program, witness, trace, reason)
+        # 2. So does a root clause that calls into a loop.
+        for pair, loop in static.entries:
+            query = _loop_witness(pair.head, mode)
+            if query is None:
+                continue
+            witness = LoopWitness(
+                chain=loop.chain, head=loop.head, body=loop.body,
+                theta=match(loop.head, loop.body), query=query, mode=mode,
+                entry=LoopEntry(
+                    chain=pair.chain, head=pair.head, body=pair.body,
+                    sigma=match(loop.head, pair.body),
+                ),
+            )
+            # The loop's variables are its own, even where the source
+            # reuses a name: rename it apart before numbering.
+            shown = rename_apart(
+                Clause(head=loop.head, body=(Literal(loop.body),))
+            )
+            reason = _canonical_reason(
+                _REACH_REASON, pair.head, pair.body, shown.head,
+                shown.body[0].atom, query,
+            )
+            return self._certified(program, witness, trace, reason)
+        # 3. Loops the static closure misses disprove only if a concrete
+        #    root query demonstrably reaches one — probe with
+        #    program-derived ground terms.
         for query in self._probe_queries(program, root, mode):
             with trace.span("nonterm.dynamic", query=str(query)):
                 loop = hunt_looping_derivation(
@@ -470,11 +513,27 @@ class NonTerminationMethod(TerminationMethod):
                     max_steps=self.engine_steps,
                 )
             if loop is not None:
-                return DISPROVED, _canonical_reason(
+                index = {id(c): i for i, c in enumerate(program.clauses)}
+                witness = DerivationWitness(
+                    chain=tuple(index[id(c)] for c in loop.path),
+                    start=loop.start, query=query, mode=mode,
+                )
+                reason = _canonical_reason(
                     "looping derivation under query %s: call %s subsumes "
                     "its open ancestor %s", query, loop.goal, loop.ancestor,
                 )
+                return self._certified(program, witness, trace, reason)
         return None
+
+    @staticmethod
+    def _certified(program, witness, trace, reason):
+        """DISPROVED once :func:`verify_loop` accepts *witness*."""
+        with trace.span("nonterm.verify"):
+            try:
+                verify_loop(program, witness)
+            except VerificationError as error:
+                return UNKNOWN, "loop witness rejected: %s" % error, None
+        return DISPROVED, reason, witness
 
     def _probe_queries(self, program, root, mode):
         """Concrete root queries built from ground terms the program

@@ -8,9 +8,11 @@ from repro.lp.unify import (
     apply_subst,
     apply_subst_clause,
     compose_subst,
+    match,
     occurs_in,
     rename_apart,
     rename_term_apart,
+    substitute,
     unify,
 )
 
@@ -152,3 +154,26 @@ class TestRenameApart:
         renamed = rename_term_apart(term)
         assert renamed.functor == "f"
         assert {v.name for v in renamed.variables()}.isdisjoint({"X", "Y"})
+
+
+class TestMatch:
+    def test_instance(self):
+        theta = match(parse_term("p(X, f(Y))"), parse_term("p(a, f(X))"))
+        assert theta == {Var("X"): Atom("a"), Var("Y"): Var("X")}
+
+    def test_specific_variables_are_constants(self):
+        assert match(parse_term("p(a)"), parse_term("p(X)")) is None
+        assert match(parse_term("p(X, X)"), parse_term("p(Y, Z)")) is None
+
+    def test_shared_variables_swap(self):
+        general, specific = parse_term("p(X, Y)"), parse_term("p(Y, X)")
+        theta = match(general, specific)
+        assert substitute(general, theta) == specific
+
+
+class TestSubstitute:
+    def test_simultaneous(self):
+        # apply_subst would chase X -> Y -> X; substitute takes one step.
+        swap = {Var("X"): Var("Y"), Var("Y"): Var("X")}
+        assert substitute(parse_term("f(X, Y)"), swap) \
+            == parse_term("f(Y, X)")
