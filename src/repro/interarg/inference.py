@@ -11,8 +11,19 @@ dimensions, of
   - nonnegativity of every logical-variable size;
 
 clause contributions are joined (convex hull), and widening after a
-delay guarantees termination.  One descending pass (re-evaluating the
-operator once without widening) recovers precision lost to widening.
+delay guarantees termination.  One descending pass (the operator
+applied once more without widening) recovers precision lost to
+widening; its first step is the last ascending round's un-widened
+result, which is exactly ``F(current)``, so it is reused rather than
+recomputed.
+
+Rounds are Jacobi-style and change-driven: inside one SCC a clause's
+contribution is recomputed only when the rows of one of its same-SCC
+callee polyhedra changed since the clause was last evaluated (lower
+SCCs are fixed while an SCC is solved, and a clause with no same-SCC
+callee is evaluated once).  Every iterate is the one a full
+recomputation would produce; polyhedra shared across rounds are
+frozen.
 
 This derives the constraints the paper imports from [VG90]:
 ``append1 + append2 = append3`` for append, ``t1 >= 2 + t2`` for the
@@ -160,26 +171,27 @@ def _solve_component(program, graph, members, env, norm, settings):
     if not recursive:
         # A single non-recursive predicate needs exactly one evaluation.
         indicator = members[0]
-        env.set(
-            indicator,
-            _predicate_step(program, indicator, env, norm, settings),
-        )
+        memo = _ClauseMemo(members, norm, settings.max_rows)
+        env.set(indicator, _predicate_step(program, indicator, env, memo,
+                                           settings))
         return
 
+    memo = _ClauseMemo(members, norm, settings.max_rows)
     current = {ind: bottom_polyhedron(ind) for ind in members}
     stable = False
     for iteration in range(settings.max_iterations):
-        proposal = {}
         # Jacobi-style round: evaluate every member against the state
         # from the previous round (plus lower SCCs already in env).
         round_env = _overlay(env, current)
-        for indicator in members:
-            proposal[indicator] = _predicate_step(
-                program, indicator, round_env, norm, settings
-            )
+        stepped = {
+            ind: _predicate_step(program, ind, round_env, memo, settings)
+            for ind in members
+        }
+        proposal = stepped
         if iteration >= settings.widen_after:
             proposal = {
-                ind: current[ind].widen(proposal[ind]) for ind in members
+                ind: current[ind].widen(stepped[ind]).freeze()
+                for ind in members
             }
         if all(
             proposal[ind].equivalent(current[ind]) for ind in members
@@ -194,14 +206,16 @@ def _solve_component(program, graph, members, env, norm, settings):
             env.set(indicator, default_polyhedron(indicator))
         return
 
-    for _ in range(settings.narrowing_passes):
-        round_env = _overlay(env, current)
-        descended = {
-            ind: _predicate_step(
-                program, ind, round_env, norm, settings
-            )
-            for ind in members
-        }
+    # The last round left ``current`` unchanged, so its un-widened
+    # ``stepped`` is F(current): the first descending step.
+    descended = stepped
+    for narrowing in range(settings.narrowing_passes):
+        if narrowing:
+            round_env = _overlay(env, current)
+            descended = {
+                ind: _predicate_step(program, ind, round_env, memo, settings)
+                for ind in members
+            }
         # Keep the descent only while it stays a sound fixpoint
         # (F(descended) must be below descended).
         if all(descended[ind].entails(current[ind]) for ind in members):
@@ -211,6 +225,38 @@ def _solve_component(program, graph, members, env, norm, settings):
 
     for indicator in members:
         env.set(indicator, current[indicator])
+
+
+class _ClauseMemo:
+    """Each clause's last contribution inside one SCC's fixpoint.
+
+    A contribution is a function of the clause, the lower SCCs (fixed
+    while the SCC is solved), and the rows of its same-SCC callee
+    polyhedra.  The memo keeps, per clause, those rows as of its last
+    evaluation and the (frozen) contribution computed from them, and
+    recomputes only when the rows differ.
+    """
+
+    def __init__(self, members, norm, max_rows):
+        self._members = frozenset(members)
+        self._norm = norm
+        self._max_rows = max_rows
+        self._entries = {}
+
+    def contribution(self, indicator, position, clause, env):
+        """The clause's weakened polyhedron against *env*."""
+        key = tuple(
+            env.get(literal.indicator).system.constraints
+            for literal in clause.body
+            if literal.positive and literal.indicator in self._members
+        )
+        entry = self._entries.get((indicator, position))
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        contribution = _clause_polyhedron(clause, env, self._norm)
+        contribution = contribution.weakened(self._max_rows).freeze()
+        self._entries[indicator, position] = (key, contribution)
+        return contribution
 
 
 def _overlay(env, overrides):
@@ -227,13 +273,12 @@ def _is_recursive(graph, members):
     return graph.has_node(node) and graph.has_edge(node, node)
 
 
-def _predicate_step(program, indicator, env, norm, settings=None):
-    """One application of the abstract consequence operator."""
-    settings = settings or InferenceSettings()
-    max_rows = settings.max_rows
+def _predicate_step(program, indicator, env, memo, settings):
+    """One application of the abstract consequence operator, with
+    clause contributions from *memo*; the result is frozen."""
     result = bottom_polyhedron(indicator)
-    for clause in program.clauses_for(indicator):
-        contribution = _clause_polyhedron(clause, env, norm).weakened(max_rows)
+    for position, clause in enumerate(program.clauses_for(indicator)):
+        contribution = memo.contribution(indicator, position, clause, env)
         if settings.join_strategy == "weak":
             if result.is_empty():
                 result = contribution
@@ -241,7 +286,7 @@ def _predicate_step(program, indicator, env, norm, settings=None):
                 result = result.join_weak(contribution)
         else:
             result = result.join(contribution)
-    return result.weakened(max_rows)
+    return result.weakened(settings.max_rows).freeze()
 
 
 def _clause_polyhedron(clause, env, norm):

@@ -158,6 +158,9 @@ def _canonical_scale(expr, relation):
 class ConstraintSystem:
     """An ordered, de-duplicated collection of constraints."""
 
+    #: Set by :meth:`freeze`; a frozen system refuses new rows.
+    _frozen = False
+
     def __init__(self, constraints=()):
         self._constraints = []
         self._seen = set()
@@ -190,8 +193,16 @@ class ConstraintSystem:
             seen = self._seen = set(self._constraints)
         return seen
 
+    def freeze(self):
+        """Make the system read-only (``add``/``extend`` raise
+        :class:`TypeError` from now on); returns it."""
+        self._frozen = True
+        return self
+
     def add(self, constraint):
         """Add one constraint (normalized, de-duplicated)."""
+        if self._frozen:
+            raise TypeError("cannot add rows to a frozen ConstraintSystem")
         if not isinstance(constraint, Constraint):
             raise TypeError("expected Constraint, got %r" % (constraint,))
         if constraint.is_trivial():

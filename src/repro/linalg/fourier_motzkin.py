@@ -262,10 +262,18 @@ def _prune_with_lp(system):
     already proven necessary are never rebuilt or re-tested), and the
     simplex sees a plain constraint list — no per-candidate
     :class:`ConstraintSystem` re-normalization.
+
+    One LP finds a point ``x0`` of the whole system; it satisfies every
+    subset of the rows, so each candidate LP starts from it
+    (``start=x0``) and runs phase 2 only.  Entailment is a fact about
+    the polyhedron, not the pivot path, so the kept rows are the same.
+    An infeasible system has no ``x0``: its candidates solve from
+    scratch.
     """
-    from repro.linalg.simplex import entails
+    from repro.linalg.simplex import entails, feasible_point
 
     rows = list(system)
+    start = feasible_point(rows)
     alive = [True] * len(rows)
     for position, candidate in enumerate(rows):
         if candidate.is_equality():
@@ -274,7 +282,7 @@ def _prune_with_lp(system):
         others = [
             row for index, row in enumerate(rows) if alive[index]
         ]
-        if not entails(others, candidate):
+        if not entails(others, candidate, start=start):
             alive[position] = True
     return ConstraintSystem(
         row for index, row in enumerate(rows) if alive[index]

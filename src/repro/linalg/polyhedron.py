@@ -32,11 +32,6 @@ from repro.linalg.simplex import entails as lp_entails, is_feasible
 
 _hull_counter = itertools.count(1)
 
-#: Row-count threshold beyond which Fourier–Motzkin projections inside
-#: polyhedron operations run exact LP-based redundancy pruning.  Keeps
-#: repeated convex hulls (fixpoint iteration) polynomial in practice.
-LP_PRUNE_THRESHOLD = 24
-
 
 class Polyhedron:
     """A convex polyhedron { x : constraints } over named dimensions."""
@@ -78,6 +73,14 @@ class Polyhedron:
             dimensions,
             (Constraint.ge(LinearExpr.of(d)) for d in dimensions),
         )
+
+    def freeze(self):
+        """Make the rows read-only (adding one raises); returns self.
+
+        For polyhedra shared across the rounds of a fixpoint.  A copy
+        is never frozen."""
+        self.system.freeze()
+        return self
 
     def copy(self):
         """An independent copy."""

@@ -60,7 +60,8 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def solve_lp(objective, constraints, sense="min", nonnegative=()):
+def solve_lp(objective, constraints, sense="min", nonnegative=(),
+             start=None):
     """Optimize *objective* subject to *constraints*.
 
     Parameters
@@ -74,12 +75,24 @@ def solve_lp(objective, constraints, sense="min", nonnegative=()):
     nonnegative:
         Iterable of variable names constrained to be >= 0, or the
         string ``"all"``.
+    start:
+        Optional ``{var: value}`` point the caller knows satisfies every
+        row (variables it omits are 0).  The tableau is then built in
+        shifted integer coordinates ``z = D * (x - start)``, where every
+        row constant is >= 0, so each inequality — tight at *start* or
+        not — begins with its slack basic and phase 1 has nothing to do
+        (equality rows still start on an artificial at 0).  Status,
+        value, and duals are those of the unshifted LP; the assignment
+        is mapped back to ``x``.  Variables must be free: pass bounds as
+        rows.  Raises :class:`ValueError` if *start* violates a row.
     """
     rows = list(constraints)
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
+    if start is not None and nonnegative:
+        raise ValueError("start= needs free variables; pass bounds as rows")
 
-    result = _Tableau(objective, rows, sense, nonnegative).solve()
+    result = _Tableau(objective, rows, sense, nonnegative, start).solve()
     if METRICS.enabled:
         METRICS.counter("simplex.solves").inc()
         METRICS.counter("simplex.pivots").inc(result.pivots)
@@ -113,19 +126,22 @@ def minimum(objective, constraints, nonnegative=()):
     return result.value
 
 
-def entails(constraints, candidate, nonnegative=()):
+def entails(constraints, candidate, nonnegative=(), start=None):
     """Does *constraints* imply *candidate* (a Constraint)?
 
     ``expr >= 0`` is entailed iff the minimum of ``expr`` over the
     system is >= 0 (an infeasible system entails everything).  An
-    equality is entailed iff both defining inequalities are.
+    equality is entailed iff both defining inequalities are.  *start*
+    is passed to :func:`solve_lp`: a known point of *constraints* makes
+    each LP phase-2 only without changing the answer.
     """
     if candidate.is_equality():
         lower, upper = candidate.as_inequalities()
-        return entails(constraints, lower, nonnegative) and entails(
-            constraints, upper, nonnegative
+        return entails(constraints, lower, nonnegative, start) and entails(
+            constraints, upper, nonnegative, start
         )
-    result = solve_lp(candidate.expr, constraints, nonnegative=nonnegative)
+    result = solve_lp(candidate.expr, constraints, nonnegative=nonnegative,
+                      start=start)
     if result.status == INFEASIBLE:
         return True
     if result.status == UNBOUNDED:
@@ -153,15 +169,30 @@ class _Tableau:
     which come from integer signs (times the sign of ``p``) and
     cross-multiplied ratio tests, so the pivot sequence is the one the
     rational tableau takes.
+
+    With a *start* point ``x0`` the structural columns hold
+    ``z = D * (x - x0)`` (``D`` the lcm of ``x0``'s denominators, so
+    ``D * x0`` is integral): a row ``a.x + c`` becomes ``a.z + b`` with
+    ``b = D * (a.x0 + c)``, the same coefficients and a constant that
+    is >= 0 for an inequality and 0 for an equality.  Every inequality
+    row is then sign-flipped to ``-a.z + s = b``, slack basic.
     """
 
-    def __init__(self, objective, rows, sense, nonnegative):
+    def __init__(self, objective, rows, sense, nonnegative, start=None):
         self._objective = objective
         self._sense = sense
         variables = set(objective.variables())
         for row in rows:
             variables |= row.variables()
         self._variables = sorted(variables, key=repr)
+        self._start = None
+        if start is not None:
+            shift = {var: Fraction(start.get(var, 0))
+                     for var in self._variables}
+            scale = lcm(*(value.denominator for value in shift.values()))
+            self._start = (shift, scale)
+            scaled_shift = {var: int(value * scale)
+                            for var, value in shift.items()}
         if nonnegative == "all":
             nonnegative = self._variables
         nonnegative = set(nonnegative)
@@ -199,12 +230,20 @@ class _Tableau:
                     coeffs[minus] -= coeff.numerator
             const = row.expr.const
             assert const.denominator == 1, "non-integer constraint row"
-            coeffs[-1] = -const.numerator
+            const = const.numerator
+            if start is not None:
+                const = const * scale + sum(
+                    coeff.numerator * scaled_shift[var]
+                    for var, coeff in row.expr.items()
+                )
+                if const < 0 or (const and row.is_equality()):
+                    raise ValueError("start violates row %d: %s" % (i, row))
+            coeffs[-1] = -const
             if i in slack_of_row:
                 # linear . x - s = -const  with s >= 0
                 coeffs[slack_of_row[i]] = -1
             sign = 1
-            if coeffs[-1] < 0:
+            if coeffs[-1] < 0 or (start is not None and i in slack_of_row):
                 coeffs = [-c for c in coeffs]
                 sign = -1
             coeffs[self._first_artificial + i] = 1
@@ -383,6 +422,10 @@ class _Tableau:
             if minus is not None:
                 value -= column_values[minus]
             assignment[var] = value
+        if self._start is not None:
+            shift, scale = self._start
+            assignment = {var: shift[var] + value / scale
+                          for var, value in assignment.items()}
         return assignment
 
     def _extract_duals(self, costs, scale):

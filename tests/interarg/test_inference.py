@@ -2,7 +2,9 @@
 
 Pins the exact constraints the paper *imports* from [VG90]:
 ``append1 + append2 = append3`` (Example 3.1) and ``t1 >= 2 + t2``
-(Example 6.1), plus the relations other corpus programs rely on.
+(Example 6.1), plus the relations other corpus programs rely on, and
+checks that the change-driven fixpoint installs exactly the polyhedra
+a full recomputation of every round would.
 """
 
 import pytest
@@ -219,3 +221,154 @@ class TestWideArity:
 
         result = analyze_program(self.WIDE, ("r", 10), "b" * 10)
         assert result.status == "PROVED"
+
+
+# -- the change-driven fixpoint ---------------------------------------------------
+
+
+def _reference_solve_component(program, graph, members, env, norm, settings):
+    """``_solve_component`` as a full recomputation: every round, and
+    the narrowing pass, evaluates every clause of every member (each
+    step gets a fresh, empty memo)."""
+    from repro.interarg.domain import bottom_polyhedron, default_polyhedron
+    from repro.interarg.inference import (
+        _ClauseMemo, _overlay, _predicate_step,
+    )
+
+    def step(indicator, round_env):
+        memo = _ClauseMemo(members, norm, settings.max_rows)
+        return _predicate_step(program, indicator, round_env, memo, settings)
+
+    current = {ind: bottom_polyhedron(ind) for ind in members}
+    stable = False
+    for iteration in range(settings.max_iterations):
+        proposal = {}
+        round_env = _overlay(env, current)
+        for indicator in members:
+            proposal[indicator] = step(indicator, round_env)
+        if iteration >= settings.widen_after:
+            proposal = {
+                ind: current[ind].widen(proposal[ind]) for ind in members
+            }
+        if all(
+            proposal[ind].equivalent(current[ind]) for ind in members
+        ):
+            stable = True
+            break
+        current = proposal
+
+    if not stable:
+        for indicator in members:
+            env.set(indicator, default_polyhedron(indicator))
+        return
+
+    for _ in range(settings.narrowing_passes):
+        round_env = _overlay(env, current)
+        descended = {ind: step(ind, round_env) for ind in members}
+        if all(descended[ind].entails(current[ind]) for ind in members):
+            current = descended
+        else:
+            break
+
+    for indicator in members:
+        env.set(indicator, current[indicator])
+
+
+def _ring(k):
+    lines = ["p1(0)."]
+    for i in range(1, k + 1):
+        lines.append("p%d(s(X)) :- p%d(X)." % (i, i % k + 1))
+    return "\n".join(lines)
+
+
+def _chain(k):
+    lines = []
+    for i in range(1, k + 1):
+        lines.append("q%d([], [])." % i)
+        if i < k:
+            lines.append("q%d([X|Xs], [X|Ys]) :- q%d(Xs, Zs), q%d(Zs, Ys)."
+                         % (i, i, i + 1))
+        else:
+            lines.append("q%d([X|Xs], [X|Ys]) :- q%d(Xs, Ys)." % (i, i))
+    return "\n".join(lines)
+
+
+def _iterate_sources():
+    from repro.corpus import all_programs
+
+    sources = [(entry.name, entry.source) for entry in all_programs()]
+    return sources + [("ring8", _ring(8)), ("chain8", _chain(8))]
+
+
+def _rows(poly):
+    return poly.dimensions, [repr(row) for row in poly.system]
+
+
+class TestChangeDrivenFixpoint:
+    def test_installs_what_full_recomputation_installs(self):
+        """Every recursive SCC of the corpus and of ring(8)/chain(8):
+        same polyhedra, same rows, same row order."""
+        from repro.interarg.inference import _is_recursive, _solve_component
+        from repro.sizes.norms import get_norm
+
+        norm = get_norm("structural")
+        settings = InferenceSettings()
+        compared = 0
+        for name, source in _iterate_sources():
+            program = parse_program(source)
+            graph = program.dependency_graph()
+            env = SizeEnvironment()
+            for component in program.sccs():
+                members = [
+                    ind for ind in component
+                    if program.predicate(*ind) is not None
+                ]
+                if not members:
+                    continue
+                if _is_recursive(graph, members):
+                    reference = env.copy()
+                    _reference_solve_component(
+                        program, graph, members, reference, norm, settings
+                    )
+                    _solve_component(
+                        program, graph, members, env, norm, settings
+                    )
+                    for ind in members:
+                        assert _rows(env.get(ind)) == _rows(
+                            reference.get(ind)
+                        ), (name, ind)
+                    compared += 1
+                else:
+                    _solve_component(
+                        program, graph, members, env, norm, settings
+                    )
+        assert compared == 70  # recursive SCCs across the 44 programs
+
+    def test_installed_polyhedra_are_frozen(self, append_program):
+        env = infer_interargument_constraints(append_program)
+        with pytest.raises(TypeError, match="frozen"):
+            env.get(("append", 3)).system.add(Constraint.ge(dim(1), 1))
+
+    def test_memo_reuses_only_unchanged_callee_rows(self, append_program):
+        from repro.interarg.domain import default_polyhedron
+        from repro.interarg.inference import _ClauseMemo
+        from repro.sizes.norms import get_norm
+
+        indicator = ("append", 3)
+        norm = get_norm("structural")
+        recursive = append_program.clauses_for(indicator)[1]
+        callee = default_polyhedron(indicator)
+        env = SizeEnvironment()
+        env.set(indicator, callee)
+        memo = _ClauseMemo([indicator], norm, 16)
+
+        first = memo.contribution(indicator, 1, recursive, env)
+        assert memo.contribution(indicator, 1, recursive, env) is first
+        # A shared contribution cannot be changed behind the memo...
+        with pytest.raises(TypeError, match="frozen"):
+            first.system.add(Constraint.ge(dim(1), 1))
+        # ...and a changed callee is seen: the clause is re-evaluated.
+        callee.system.add(Constraint.ge(dim(1), 1))
+        second = memo.contribution(indicator, 1, recursive, env)
+        assert second is not first
+        assert _rows(second) != _rows(first)

@@ -6,17 +6,44 @@ extraction, over :class:`fractions.Fraction` entries.  The property
 tests in ``test_simplex_props.py`` require the integer tableau to
 agree with it exactly — status, value, assignment, duals, and pivot
 count.
+
+It also keeps the LP redundancy prune as it ran before each candidate
+LP started from a known point (:func:`oracle_prune`): every candidate
+solves from scratch, phase 1 included.
 """
 
 from fractions import Fraction
 
-from repro.linalg.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from repro.linalg.constraints import ConstraintSystem
+from repro.linalg.simplex import (
+    INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, entails,
+)
 
 
 def oracle_solve(objective, constraints, sense="min", nonnegative=()):
     """:func:`repro.linalg.simplex.solve_lp` on the Fraction tableau."""
     return _StandardForm(objective, list(constraints), sense,
                          nonnegative).solve()
+
+
+def oracle_prune(system):
+    """:func:`repro.linalg.fourier_motzkin._prune_with_lp` without a
+    start point: drop every inequality entailed by the rows still
+    alive, in order."""
+    rows = list(system)
+    alive = [True] * len(rows)
+    for position, candidate in enumerate(rows):
+        if candidate.is_equality():
+            continue
+        alive[position] = False
+        others = [
+            row for index, row in enumerate(rows) if alive[index]
+        ]
+        if not entails(others, candidate):
+            alive[position] = True
+    return ConstraintSystem(
+        row for index, row in enumerate(rows) if alive[index]
+    )
 
 
 class _StandardForm:
