@@ -445,16 +445,6 @@ def clear_caches():
     _ENV_CACHE.clear()
 
 
-def _inference_key(settings):
-    return (
-        settings.widen_after,
-        settings.max_iterations,
-        settings.narrowing_passes,
-        settings.max_rows,
-        settings.join_strategy,
-    )
-
-
 def resolve_settings(settings):
     """Validate analyzer settings eagerly; return ``(norm, backend)``.
 
@@ -574,7 +564,7 @@ class AnalysisPipeline:
             self._environment_key = (
                 program_fingerprint(self.program),
                 self.norm.name,
-                _inference_key(self.settings.inference),
+                self.settings.inference.key(),
             )
         cached = _ENV_CACHE.get(self._environment_key)
         if cached is not None:

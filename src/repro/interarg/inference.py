@@ -32,7 +32,7 @@ parser SCC, and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.lp.program import BUILTIN_PREDICATES
 from repro.linalg.constraints import Constraint
@@ -69,6 +69,12 @@ class InferenceSettings:
     narrowing_passes: int = 1
     max_rows: int = 16
     join_strategy: str = "exact"
+
+    def key(self):
+        """Every field's value, in declaration order: the one identity
+        the process env cache and the SCC env certificates are keyed
+        on, so a new field can never alias two settings."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 def infer_interargument_constraints(
@@ -116,15 +122,8 @@ def infer_interargument_constraints(
 def _component_fingerprint(program, members, env, norm, settings):
     from repro.core.fingerprint import env_scc_fingerprint
 
-    inference_key = (
-        settings.widen_after,
-        settings.max_iterations,
-        settings.narrowing_passes,
-        settings.max_rows,
-        settings.join_strategy,
-    )
     return env_scc_fingerprint(
-        program, members, env, norm.name, inference_key
+        program, members, env, norm.name, settings.key()
     )
 
 

@@ -1,13 +1,19 @@
-"""Exact rational linear algebra: expressions, constraints, FM, simplex.
+"""Exact linear algebra: expressions, constraints, FM, simplex.
 
-Everything here computes over :class:`fractions.Fraction`, so results
-are exact — a termination *proof* must not depend on floating-point
-rounding.  The subpackage provides:
+Nothing here touches floating point, so results are exact — a
+termination *proof* must not depend on rounding.  Expressions and
+constraints hold :class:`fractions.Fraction` coefficients; the
+Fourier–Motzkin engine and the simplex tableau compute on integer rows
+and hand back the same exact objects.  The subpackage provides:
 
 - :mod:`repro.linalg.linexpr` — immutable linear expressions.
 - :mod:`repro.linalg.constraints` — constraints and constraint systems.
+- :mod:`repro.linalg.rows` — the integer row engine every
+  Fourier–Motzkin elimination runs on: substitution, pairwise
+  combination, dominance pruning, and the greedy variable choice.
 - :mod:`repro.linalg.fourier_motzkin` — projection by Fourier–Motzkin
-  elimination with redundancy pruning (the paper's workhorse, Section 4).
+  elimination (the paper's workhorse, Section 4): ``eliminate_all`` and
+  the Chernikov-tracked ``eliminate_all_tracked``.
 - :mod:`repro.linalg.simplex` — a two-phase exact simplex LP solver with
   dual values (used for the duality cross-checks and ablations).
 - :mod:`repro.linalg.polyhedron` — convex polyhedra in constraint form
@@ -23,7 +29,7 @@ from repro.linalg.constraints import (
     GE,
     LE,
 )
-from repro.linalg.fourier_motzkin import eliminate, eliminate_all, project_onto
+from repro.linalg.fourier_motzkin import eliminate_all
 from repro.linalg.simplex import LPResult, solve_lp, is_feasible
 from repro.linalg.polyhedron import Polyhedron
 
@@ -35,9 +41,7 @@ __all__ = [
     "EQ",
     "GE",
     "LE",
-    "eliminate",
     "eliminate_all",
-    "project_onto",
     "LPResult",
     "solve_lp",
     "is_feasible",

@@ -25,7 +25,6 @@ from repro.linalg.constraints import Constraint, ConstraintSystem, GE
 from repro.linalg.fourier_motzkin import (
     FMBlowupError,
     eliminate_all_tracked,
-    prune_redundant,
 )
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.simplex import entails as lp_entails, is_feasible
@@ -295,12 +294,6 @@ class Polyhedron:
                 if newer.entails_constraint(half):
                     kept.append(half)
         return Polyhedron(self.dimensions, kept)
-
-    def minimized(self):
-        """Equivalent polyhedron with LP-irredundant constraints."""
-        return Polyhedron(
-            self.dimensions, prune_redundant(self.system, use_lp=True)
-        )
 
     def weakened(self, max_rows):
         """A sound over-approximation with at most *max_rows* rows.

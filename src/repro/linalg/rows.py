@@ -1,35 +1,45 @@
-"""Dense integer row kernel for Fourier–Motzkin elimination.
+"""Dense integer row kernel: the one Fourier–Motzkin engine.
 
-The object pipeline (:class:`~repro.linalg.linexpr.LinearExpr` /
-:class:`~repro.linalg.constraints.Constraint`) pays dict arithmetic,
-Fraction normalization, and a sorted ``items()`` pass *per combined
-row* — for every positive×negative pair, before any pruning can reject
-it.  This module runs the combination loops in machine-int arithmetic
-instead:
+Section 4 of the paper eliminates a variable "by 'cancelling' all
+positive occurrences with all negative occurrences, pairwise, creating
+new rows".  Every elimination in the analyzer runs here, in
+machine-int arithmetic, with one implementation of each piece:
 
 - **interning** — the variables of one projection are sorted by
-  ``repr`` (the tie-break order the object path uses everywhere) and
-  mapped to dense indices once; a row is a plain tuple of integer
-  coefficients plus an integer constant;
-- **GCD normalization** — rows are divided by the gcd of all entries
-  including the constant, exactly mirroring the canonical form of
-  :class:`Constraint` (``>=`` rows keep their sign; ``=`` rows flip so
-  the first nonzero coefficient — first in index order = first in
-  ``repr`` order — is positive);
-- **Chernikov ancestors** — history-tracked elimination keeps the set
-  of original row indices as an int bitmask; ``int.bit_count`` replaces
-  frozenset unions;
-- **occurrence counters** — per-variable positive/negative occurrence
-  counts are maintained incrementally as rows enter and leave the
-  workspace, so greedy variable selection is O(vars) per step instead
-  of a full rows×vars rescan.
+  ``repr`` and mapped to dense indices once; a row is a tuple of
+  integer coefficients plus an integer constant;
+- **canonicalization** — :func:`normalize_row` divides by the gcd of
+  all entries including the constant, exactly mirroring the canonical
+  form of :class:`Constraint`; ``=`` rows are first sign-normalized so
+  their first nonzero coefficient (first in index order = first in
+  ``repr`` order) is positive;
+- **substitution** — :func:`substitute` is the integer Gaussian step
+  on *flagged* rows ``(is_eq, coeffs, const)``: the first ``=`` row
+  mentioning the variable is solved for it and substituted everywhere
+  else;
+- **combination** — :meth:`RowKernel.eliminate` pairs every positive
+  occurrence with every negative one over pure ``>=`` rows, optionally
+  carrying Chernikov ancestor sets as int bitmasks;
+- **dominance** — :meth:`RowKernel._dominance` keeps the tightest row
+  per linear part;
+- **greedy choice** — equalities first (:func:`substitute_equalities`,
+  smallest ``repr`` first), then :meth:`RowKernel.choose`: fewest
+  positives×negatives from incrementally maintained occurrence
+  counters, ties by ``repr``.
 
-Constraint objects are materialized only at the projection boundary
-(:meth:`RowKernel.to_system`); every intermediate row lives and dies as
-a tuple of ints.  The results are byte-identical to the object
-pipeline kept as the test oracle (``tests/property/fm_oracle.py``) —
-same rows, same canonical form, same insertion order — which the
-differential tests in ``tests/property/test_kernel_props.py`` enforce.
+Every caller hands pure ``>=`` rows to :class:`RowKernel`, so the
+combination loop never inspects a relation:
+:func:`~repro.linalg.fourier_motzkin.eliminate_all` after a greedy
+substitution prefix, the ``fm`` backend's :class:`StagedEliminator`
+after a ``repr``-order one (keeping one snapshot per stage for the
+witness), and :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`
+with every equality split up front (Chernikov-tracked).
+
+Constraint objects are materialized only at the projection boundary.
+The results are byte-identical to the self-contained object pipeline
+kept as the test oracle (``tests/property/fm_oracle.py``) — same rows,
+same canonical form, same insertion order — which the differential
+tests in ``tests/property/test_kernel_props.py`` enforce.
 """
 
 from __future__ import annotations
@@ -97,6 +107,123 @@ def normalize_row(coeffs, const):
     return coeffs, const
 
 
+def _normalize_equality(coeffs, const):
+    """Canonical form of an ``=`` row: sign-normalized by its first
+    nonzero coefficient (or, with none, its constant), then
+    :func:`normalize_row`; None for the trivial ``0 = 0``."""
+    leading = next((c for c in coeffs if c), const)
+    if leading < 0:
+        coeffs = tuple(-c for c in coeffs)
+        const = -const
+    if any(coeffs):
+        return normalize_row(coeffs, const)
+    return (coeffs, 1) if const else None  # "0 = 1": the contradiction
+
+
+# -- flagged rows: the substitution prefix ------------------------------------
+
+
+def flagged_rows(system, variables):
+    """``(is_eq, coeffs, const)`` rows of *system*, in order."""
+    return [
+        (constraint.is_equality(),) + row_of_constraint(constraint, variables)
+        for constraint in system
+    ]
+
+
+def split_equalities(rows):
+    """Flagged rows as pure ``>=`` rows: each ``=`` row becomes its
+    pair ``e``, ``-e`` in place, as ``system.inequalities()`` splits
+    it — except that the contradiction ``0 = 1`` keeps only ``-1 >= 0``:
+    its other half is trivially true, and the object path drops it on
+    ``ConstraintSystem.add``."""
+    split = []
+    for is_eq, coeffs, const in rows:
+        if is_eq and not any(coeffs):
+            split.append((coeffs, -const))
+            continue
+        split.append((coeffs, const))
+        if is_eq:
+            split.append((tuple(-c for c in coeffs), -const))
+    return split
+
+
+def materialize(rows, variables):
+    """Flagged rows as a :class:`ConstraintSystem` (``=`` rows stay
+    equalities)."""
+    return ConstraintSystem(
+        constraint_of_row((coeffs, const), variables, EQ if is_eq else GE)
+        for is_eq, coeffs, const in rows
+    )
+
+
+def substitute(rows, j):
+    """Eliminate variable index *j* from flagged *rows* by integer
+    Gaussian substitution; None when no ``=`` row mentions *j*.
+
+    The first ``=`` row ``e`` mentioning *j* (coefficient ``c``) solves
+    for it: every other row ``r`` with coefficient ``d`` becomes
+    ``|c|*r - d*sign(c)*e`` — a positive multiple of the exact-fraction
+    substitution, so canonicalization reaches the object path's form.
+    Trivial rows and duplicates drop, as ``ConstraintSystem.add`` drops
+    them.
+    """
+    eq_position = next(
+        (position for position, (is_eq, coeffs, _) in enumerate(rows)
+         if is_eq and coeffs[j]),
+        None,
+    )
+    if eq_position is None:
+        return None
+    _, ecoeffs, econst = rows[eq_position]
+    c = ecoeffs[j]
+    m = abs(c)
+    s = 1 if c > 0 else -1
+    width = range(len(ecoeffs))
+    result = []
+    seen = set()
+    for position, row in enumerate(rows):
+        if position == eq_position:
+            continue
+        is_eq, coeffs, const = row
+        d = coeffs[j]
+        if d:
+            ds = d * s
+            normalize = _normalize_equality if is_eq else normalize_row
+            combined = normalize(
+                tuple(m * coeffs[i] - ds * ecoeffs[i] for i in width),
+                m * const - ds * econst,
+            )
+            if combined is None:
+                continue
+            row = (is_eq,) + combined
+        if row not in seen:
+            seen.add(row)
+            result.append(row)
+    return result
+
+
+def substitute_equalities(rows, remaining):
+    """The greedy choice's first tier: while an ``=`` row mentions an
+    index of *remaining*, substitute the smallest such index (first in
+    ``repr`` order) away and discard it from *remaining*.  Returns the
+    rows, which mention no remaining index in an ``=`` row."""
+    while True:
+        mentioned = {
+            i for is_eq, coeffs, _ in rows if is_eq
+            for i, c in enumerate(coeffs) if c
+        }
+        candidates = mentioned & remaining
+        if not candidates:
+            return rows
+        j = min(candidates)
+        rows = substitute(rows, j)
+        remaining.discard(j)
+
+
+# -- pure inequalities: combination -------------------------------------------
+
+
 class RowKernel:
     """A pure-inequality FM workspace over dense integer rows.
 
@@ -124,12 +251,8 @@ class RowKernel:
         """Intern *system* (equalities split into inequality pairs —
         exactly ``system.inequalities()`` — preserving row order)."""
         variables = intern_variables(system)
-        rows = []
-        histories = [] if track else None
-        for position, constraint in enumerate(system.inequalities()):
-            rows.append(row_of_constraint(constraint, variables))
-            if track:
-                histories.append(1 << position)
+        rows = split_equalities(flagged_rows(system, variables))
+        histories = [1 << p for p in range(len(rows))] if track else None
         return cls(variables, rows, histories)
 
     def __len__(self):
@@ -148,8 +271,8 @@ class RowKernel:
 
     def choose(self, remaining):
         """The cheapest present variable index from *remaining*
-        (min positives×negatives, ties by ``repr`` — the object
-        path's greedy heuristic), or None when none is present."""
+        (min positives×negatives, ties by ``repr`` — the greedy
+        choice's second tier), or None when none is present."""
         best_key = None
         best_index = None
         for j in remaining:
@@ -167,12 +290,11 @@ class RowKernel:
     def eliminate(self, j, chernikov_limit=None, prune=True):
         """Eliminate variable index *j* by pairwise combination.
 
-        Mirrors the oracle's object-level combination + dominance
-        pruning (or its tracked step when histories are tracked):
-        positive rows pair with negative rows in row order, combined
+        Positive rows pair with negative rows in row order, combined
         rows are gcd-normalized, trivial rows and duplicates are
-        dropped, and with *prune* the tightest row per linear part
-        survives (first-occurrence order).
+        dropped (with tracked histories, a pair whose ancestor set
+        exceeds *chernikov_limit* is skipped), and with *prune* the
+        tightest row per linear part survives (first-occurrence order).
         """
         track = self.histories is not None
         positives = []
@@ -230,14 +352,12 @@ class RowKernel:
                 if track:
                     kept_hist.append(history)
 
+        self.rows = kept
+        self.histories = kept_hist
+        dominance_pruned = 0
         if prune:
-            before = len(kept)
-            self._dominance(kept, kept_hist)
-            dominance_pruned = before - len(self.rows)
-        else:
-            dominance_pruned = 0
-            self.rows = kept
-            self.histories = kept_hist
+            self._dominance()
+            dominance_pruned = len(kept) - len(self.rows)
         if METRICS.enabled:
             METRICS.counter("fm.rows.generated").inc(generated)
             if chernikov_pruned:
@@ -249,25 +369,23 @@ class RowKernel:
                     dominance_pruned
                 )
 
-    def _dominance(self, rows, histories):
+    def _dominance(self):
         """Keep the tightest row per linear part (first-occurrence
         order, smallest constant wins) and update the counters for
         every row dropped."""
+        rows = self.rows
         best = {}
         for position, (coeffs, const) in enumerate(rows):
             current = best.get(coeffs)
             if current is None:
                 best[coeffs] = position
-            elif const < rows[current][1]:
-                self._count(coeffs, -1)
+                continue
+            self._count(coeffs, -1)
+            if const < rows[current][1]:
                 best[coeffs] = position
-            else:
-                self._count(coeffs, -1)
         self.rows = [rows[p] for p in best.values()]
-        if histories is not None:
-            self.histories = [histories[p] for p in best.values()]
-        else:
-            self.histories = None
+        if self.histories is not None:
+            self.histories = [self.histories[p] for p in best.values()]
 
     # -- boundary --------------------------------------------------------------
 
@@ -280,12 +398,12 @@ class RowKernel:
 
 
 def tracked_project(system, variables, max_rows=600):
-    """Kernel implementation of the Chernikov-pruned projection.
+    """The Chernikov-pruned projection: the tracked :class:`RowKernel`
+    after eliminating every present variable of *variables*.
 
-    Byte-identical to the oracle's object-level tracked loop (before
-    its final redundancy prune, which the caller applies at the
-    object boundary).  Raises :class:`FMBlowupError` when the
-    intermediate row count passes *max_rows*.
+    The caller applies the final dominance pass and materializes.
+    Raises :class:`FMBlowupError` when the intermediate row count
+    passes *max_rows*.
     """
     kernel = RowKernel.from_system(system, track=True)
     remaining = {
@@ -303,154 +421,41 @@ def tracked_project(system, variables, max_rows=600):
             raise FMBlowupError(
                 "tracked elimination exceeded %d rows" % max_rows
             )
-    return kernel.to_system()
+    return kernel
 
 
 class StagedEliminator:
-    """Kernel-native staged elimination for the ``fm`` backend.
+    """Staged elimination for the ``fm`` backend.
 
-    Eliminates every variable in ``repr`` order, keeping one row
-    snapshot per stage so a witness can be recovered by reverse
-    back-substitution.  Rows carry a relation flag (``=`` rows use
-    integer Gaussian substitution, mirroring the object path's
-    ``_eliminate_by_substitution``); a combination stage first splits
-    the remaining equalities into inequality pairs, exactly as
-    ``system.inequalities()`` does.
+    Eliminates every variable in ``repr`` order, keeping one flagged
+    row snapshot per stage so a witness can be recovered by reverse
+    back-substitution.  While an ``=`` row mentions the next variable
+    the stage is a :func:`substitute` step; the first variable none
+    mentions splits the equalities and hands every remaining stage to
+    an untracked :class:`RowKernel`.
     """
 
     __slots__ = ("variables", "stages")
 
     def __init__(self, system):
         self.variables = intern_variables(system)
-        rows = []
-        for constraint in system:
-            coeffs, const = row_of_constraint(constraint, self.variables)
-            rows.append((constraint.is_equality(), coeffs, const))
-        self.stages = [rows]
+        self.stages = [flagged_rows(system, self.variables)]
 
     def run(self, prune=True):
         """Eliminate every variable; returns the final row list."""
+        kernel = None
         for j in range(len(self.variables)):
-            self.stages.append(self._stage(self.stages[-1], j, prune))
+            if kernel is None:
+                rows = substitute(self.stages[-1], j)
+                if rows is not None:
+                    self.stages.append(rows)
+                    continue
+                kernel = RowKernel(
+                    self.variables, split_equalities(self.stages[-1])
+                )
+            kernel.eliminate(j, prune=prune)
+            self.stages.append([(False,) + row for row in kernel.rows])
         return self.stages[-1]
-
-    def _stage(self, rows, j, prune):
-        for position, (is_eq, coeffs, _) in enumerate(rows):
-            if is_eq and coeffs[j]:
-                return self._substitute(rows, j, position)
-        return self._combine(rows, j, prune)
-
-    def _substitute(self, rows, j, eq_position):
-        """Gaussian substitution in integers: with the equality row
-        ``e`` solving for the variable, each row ``r`` with coefficient
-        ``d`` becomes ``|c|*r - d*sign(c)*e`` — a positive multiple of
-        the exact-fraction substitution, so gcd normalization reaches
-        the same canonical form."""
-        _, ecoeffs, econst = rows[eq_position]
-        c = ecoeffs[j]
-        m = abs(c)
-        s = 1 if c > 0 else -1
-        width = range(len(self.variables))
-        result = []
-        seen = set()
-        for position, (is_eq, coeffs, const) in enumerate(rows):
-            if position == eq_position:
-                continue
-            d = coeffs[j]
-            if d:
-                ds = d * s
-                row = self._canonical(
-                    is_eq,
-                    tuple(m * coeffs[i] - ds * ecoeffs[i] for i in width),
-                    m * const - ds * econst,
-                )
-                if row is None:
-                    continue
-                is_eq, coeffs, const = row
-            key = (is_eq, coeffs, const)
-            if key in seen:
-                continue
-            seen.add(key)
-            result.append(key)
-        return result
-
-    def _combine(self, rows, j, prune):
-        """Pairwise combination over the inequality splits of *rows*."""
-        split = []
-        for is_eq, coeffs, const in rows:
-            if is_eq:
-                split.append((coeffs, const))
-                split.append((tuple(-c for c in coeffs), -const))
-            else:
-                split.append((coeffs, const))
-        positives = []
-        negatives = []
-        kept = []
-        seen = set()
-        for coeffs, const in split:
-            c = coeffs[j]
-            if c > 0:
-                positives.append((coeffs, const))
-            elif c < 0:
-                negatives.append((coeffs, const))
-            elif (coeffs, const) not in seen:
-                seen.add((coeffs, const))
-                kept.append((coeffs, const))
-        width = range(len(self.variables))
-        generated = 0
-        for pcoeffs, pconst in positives:
-            a = pcoeffs[j]
-            for ncoeffs, nconst in negatives:
-                b = -ncoeffs[j]
-                combined = normalize_row(
-                    tuple(b * pcoeffs[i] + a * ncoeffs[i] for i in width),
-                    b * pconst + a * nconst,
-                )
-                if combined is None or combined in seen:
-                    continue
-                seen.add(combined)
-                kept.append(combined)
-                generated += 1
-        dominance_pruned = 0
-        if prune:
-            best = {}
-            for position, (coeffs, const) in enumerate(kept):
-                current = best.get(coeffs)
-                if current is None or const < kept[current][1]:
-                    best[coeffs] = position
-            dominance_pruned = len(kept) - len(best)
-            kept = [kept[p] for p in best.values()]
-        if METRICS.enabled:
-            METRICS.counter("fm.rows.generated").inc(generated)
-            if dominance_pruned:
-                METRICS.counter("fm.rows.pruned.dominance").inc(
-                    dominance_pruned
-                )
-        return [(False, coeffs, const) for coeffs, const in kept]
-
-    def _canonical(self, is_eq, coeffs, const):
-        """GCD-normalize; sign-normalize ``=`` rows by their first
-        nonzero coefficient (index order = ``repr`` order, matching
-        ``_canonical_scale``); drop trivial rows."""
-        divisor = abs(const)
-        for c in coeffs:
-            divisor = gcd(divisor, c)
-        if divisor > 1:
-            coeffs = tuple(c // divisor for c in coeffs)
-            const = const // divisor
-        leading = next((c for c in coeffs if c), None)
-        if is_eq:
-            if leading is None:
-                if const == 0:
-                    return None  # trivial "0 = 0"
-                if const < 0:
-                    const = -const  # sign-normalized contradiction row
-            elif leading < 0:
-                coeffs = tuple(-c for c in coeffs)
-                const = -const
-        elif leading is None and const >= 0:
-            return None  # trivial "c >= 0"
-        return is_eq, coeffs, const
 
     # -- verdict and witness ---------------------------------------------------
 

@@ -372,3 +372,31 @@ class TestChangeDrivenFixpoint:
         second = memo.contribution(indicator, 1, recursive, env)
         assert second is not first
         assert _rows(second) != _rows(first)
+
+
+class TestSettingsKey:
+    """One key identifies inference settings for both the process env
+    cache and the SCC env certificates."""
+
+    def test_every_field_is_in_the_key(self):
+        import dataclasses
+
+        base = InferenceSettings()
+        for field in dataclasses.fields(InferenceSettings):
+            value = getattr(base, field.name)
+            changed = dataclasses.replace(
+                base,
+                **{field.name: value + "-other" if isinstance(value, str)
+                   else value + 1},
+            )
+            assert changed.key() != base.key(), field.name
+        assert len(base.key()) == len(dataclasses.fields(InferenceSettings))
+
+    def test_key_is_the_pinned_tuple(self):
+        # Fingerprints and store keys embed this tuple's repr.
+        assert InferenceSettings().key() == (4, 40, 1, 16, "exact")
+        settings = InferenceSettings(
+            widen_after=2, max_iterations=9, narrowing_passes=0,
+            max_rows=8, join_strategy="weak",
+        )
+        assert settings.key() == (2, 9, 0, 8, "weak")

@@ -1,4 +1,9 @@
-"""Unit tests for Fourier–Motzkin elimination."""
+"""Unit tests for Fourier–Motzkin elimination.
+
+Single-variable elimination and projection onto kept variables are
+``eliminate_all`` calls; the redundancy pruning is the final dominance
+pass of ``eliminate_all_tracked`` and the exact ``_prune_with_lp``.
+"""
 
 from fractions import Fraction
 
@@ -7,11 +12,9 @@ import pytest
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.fourier_motzkin import (
     FMBlowupError,
-    eliminate,
+    _prune_with_lp,
     eliminate_all,
     eliminate_all_tracked,
-    project_onto,
-    prune_redundant,
 )
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.simplex import is_feasible
@@ -35,7 +38,7 @@ class TestEliminate:
         system = ConstraintSystem(
             [Constraint.le(x(), y()), Constraint.le(y(), 5)]
         )
-        result = eliminate(system, "y")
+        result = eliminate_all(system, ["y"])
         assert "y" not in result.variables()
         assert result.satisfied_by({"x": 5})
         assert not result.satisfied_by({"x": 6})
@@ -45,21 +48,21 @@ class TestEliminate:
         system = ConstraintSystem(
             [Constraint.eq(y(), x() + 1), Constraint.le(y(), 3)]
         )
-        result = eliminate(system, "y")
+        result = eliminate_all(system, ["y"])
         assert result.satisfied_by({"x": 2})
         assert not result.satisfied_by({"x": 3})
 
     def test_one_sided_variable_drops_rows(self):
         # Only y >= x: choosing y large always works, projection is R.
         system = ConstraintSystem([Constraint.ge(y(), x())])
-        result = eliminate(system, "y")
+        result = eliminate_all(system, ["y"])
         assert len(result) == 0
 
     def test_infeasible_stays_infeasible(self):
         system = ConstraintSystem(
             [Constraint.ge(y(), x() + 1), Constraint.le(y(), x())]
         )
-        result = eliminate(system, "y")
+        result = eliminate_all(system, ["y"])
         assert result.has_contradiction_row()
 
     def test_feasibility_preserved(self):
@@ -70,7 +73,7 @@ class TestEliminate:
                 Constraint.le(y(), 10),
             ]
         )
-        result = eliminate(system, "y")
+        result = eliminate_all(system, ["y"])
         assert is_feasible(result) == is_feasible(system)
 
 
@@ -97,7 +100,7 @@ class TestEliminateAll:
         system = ConstraintSystem(
             [Constraint.eq(y(), x()), Constraint.ge(y(), 3)]
         )
-        result = project_onto(system, ["x"])
+        result = eliminate_all(system, system.variables() - {"x"})
         assert result.variables() == {"x"}
         assert result.satisfied_by({"x": 3})
         assert not result.satisfied_by({"x": 2})
@@ -109,7 +112,7 @@ class TestPruneRedundant:
         system = ConstraintSystem(
             [Constraint.ge(x(), 0), Constraint.ge(x(), 1)]
         )
-        result = prune_redundant(system)
+        result = eliminate_all_tracked(system, [])
         assert len(result) == 1
         assert not result.satisfied_by({"x": Fraction(1, 2)})
 
@@ -122,14 +125,14 @@ class TestPruneRedundant:
                 Constraint.ge(x() + y(), 2),
             ]
         )
-        result = prune_redundant(system, use_lp=True)
+        result = _prune_with_lp(system)
         assert len(result) == 2
 
     def test_lp_prune_keeps_needed(self):
         system = ConstraintSystem(
             [Constraint.ge(x(), 1), Constraint.ge(y(), 1)]
         )
-        result = prune_redundant(system, use_lp=True)
+        result = _prune_with_lp(system)
         assert len(result) == 2
 
 

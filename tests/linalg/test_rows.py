@@ -11,9 +11,13 @@ from repro.linalg.rows import (
     RowKernel,
     StagedEliminator,
     constraint_of_row,
+    flagged_rows,
     intern_variables,
     normalize_row,
     row_of_constraint,
+    split_equalities,
+    substitute,
+    substitute_equalities,
     tracked_project,
 )
 
@@ -73,6 +77,64 @@ class TestNormalizeRow:
         assert normalize_row((2, 3), 7) == ((2, 3), 7)
 
 
+class TestSubstitution:
+    def test_split_matches_inequalities(self):
+        system = ConstraintSystem(
+            [Constraint.ge(x() - 1), Constraint.eq(2 * x(), y() + 4)]
+        )
+        variables = intern_variables(system)
+        assert split_equalities(flagged_rows(system, variables)) == [
+            row_of_constraint(c, variables) for c in system.inequalities()
+        ]
+
+    def test_first_equality_solves(self):
+        # Two equalities mention x; the first one (x = y) substitutes.
+        system = ConstraintSystem(
+            [
+                Constraint.eq(x(), y()),
+                Constraint.eq(x(), 2 * y() + 1),
+                Constraint.ge(x() - 3),
+            ]
+        )
+        rows = substitute(flagged_rows(system, ("x", "y")), 0)
+        assert rows == [(True, (0, 1), 1), (False, (0, 1), -3)]
+
+    def test_equalities_are_sign_normalized(self):
+        # Substituting x = y + 1 into x = 2y + 3z leaves
+        # -y - 3z + 1 = 0, which must flip to y + 3z - 1 = 0.
+        system = ConstraintSystem(
+            [
+                Constraint.eq(x(), y() + 1),
+                Constraint.eq(x(), 2 * y() + 3 * z()),
+            ]
+        )
+        rows = substitute(flagged_rows(system, ("x", "y", "z")), 0)
+        assert rows == [(True, (0, 1, 3), -1)]
+
+    def test_trivial_and_contradiction_equalities(self):
+        system = ConstraintSystem(
+            [Constraint.eq(x(), 2), Constraint.eq(x(), 2 * y())]
+        )
+        rows = flagged_rows(system, ("x", "y"))
+        assert substitute(rows, 0) == [(True, (0, 1), -1)]
+        system = ConstraintSystem(
+            [Constraint.eq(x(), 2), Constraint.eq(3 * x(), 9)]
+        )
+        assert substitute(flagged_rows(system, ("x",)), 0) \
+            == [(True, (0,), 1)]
+
+    def test_equality_variables_go_smallest_first(self):
+        system = ConstraintSystem(
+            [Constraint.eq(z(), x()), Constraint.eq(y(), x() + 1)]
+        )
+        remaining = {1, 2}
+        rows = substitute_equalities(
+            flagged_rows(system, ("x", "y", "z")), remaining
+        )
+        assert remaining == set()
+        assert rows == []
+
+
 class TestRowKernel:
     def make(self, constraints, track=False):
         return RowKernel.from_system(
@@ -125,7 +187,7 @@ class TestRowKernel:
         kernel = self.make(
             [Constraint.ge(x() - 1), Constraint.ge(x() - 2)]
         )
-        kernel._dominance(list(kernel.rows), None)
+        kernel._dominance()
         assert kernel.rows == [((1,), -2)]
 
     def test_to_system_matches_object_path(self):
@@ -146,7 +208,7 @@ class TestTrackedProject:
                 Constraint.le(z(), 4),
             ]
         )
-        result = tracked_project(system, {"y", "z"})
+        result = tracked_project(system, {"y", "z"}).to_system()
         assert result.variables() == {"x"}
         assert result.satisfied_by({"x": 4})
         assert not result.satisfied_by({"x": 5})

@@ -1,32 +1,36 @@
 """The object-pipeline Fourier–Motzkin elimination, kept as the oracle.
 
 This is the elimination :mod:`repro.linalg.fourier_motzkin` and the
-``fm`` backend ran before every combination step moved onto the
-integer row kernel of :mod:`repro.linalg.rows`: pairwise combination on
-:class:`~repro.linalg.constraints.Constraint` objects, tracked
+``fm`` backend ran before every step moved onto the integer row engine
+of :mod:`repro.linalg.rows`: Gaussian substitution over ``Fraction``
+expressions, pairwise combination on
+:class:`~repro.linalg.constraints.Constraint` objects, the greedy
+elimination cost, dominance pruning keyed on
+:class:`~repro.linalg.linexpr.LinearExpr` linear parts, tracked
 elimination with frozenset Chernikov ancestors, and the Fraction
 interval witness.  The property tests in ``test_kernel_props.py``
-require the kernel to agree with it byte for byte — the same rows, in
+require the engine to agree with it byte for byte — the same rows, in
 the same canonical form, in the same insertion order.
 
-Equality substitution, the greedy cost and the redundancy pruning are
-shared with the library: both paths always ran that code.
+The oracle shares no code with the engine it checks: it imports
+nothing from :mod:`repro.linalg.fourier_motzkin` or
+:mod:`repro.linalg.rows`, and its LP redundancy prune is the simplex
+oracle's :func:`~tests.property.simplex_oracle.oracle_prune` (same kept
+rows as the library's, by ``test_simplex_props.py``).
 """
 
 from fractions import Fraction
 
 from repro.errors import FMBlowupError
 from repro.linalg.constraints import Constraint, ConstraintSystem, GE
-from repro.linalg.fourier_motzkin import (
-    _eliminate_by_substitution,
-    _elimination_costs,
-    prune_redundant,
-)
 from repro.linalg.linexpr import LinearExpr
+
+from tests.property.simplex_oracle import oracle_prune
 
 
 def oracle_eliminate(system, var, prune=True):
-    """:func:`repro.linalg.fourier_motzkin.eliminate` on objects."""
+    """Eliminate *var*: substitute with the first equality that
+    mentions it, else combine pairwise."""
     relevant_eq = None
     for constraint in system:
         if constraint.is_equality() and var in constraint.variables():
@@ -64,8 +68,24 @@ def _eliminate_by_combination(system, var, prune=True):
     return result
 
 
-def oracle_eliminate_all(system, variables, prune=True,
-                         lp_prune_threshold=None):
+def _eliminate_by_substitution(system, var, equality):
+    """Solve *equality* for *var* and substitute everywhere else."""
+    coeff = equality.expr.coefficient(var)
+    # var = -(rest)/coeff  where  expr = coeff*var + rest = 0
+    rest = equality.expr - LinearExpr.of(var, coeff)
+    replacement = rest * (Fraction(-1) / coeff)
+    result = ConstraintSystem()
+    for constraint in system:
+        if constraint is equality:
+            continue
+        if var in constraint.variables():
+            result.add(constraint.substitute({var: replacement}))
+        else:
+            result.add(constraint)
+    return result
+
+
+def oracle_eliminate_all(system, variables, prune=True):
     """:func:`repro.linalg.fourier_motzkin.eliminate_all` on objects:
     one greedy elimination at a time, materialized after each step."""
     remaining = set(variables)
@@ -76,21 +96,75 @@ def oracle_eliminate_all(system, variables, prune=True,
             break
         var = min(costs, key=lambda v: costs[v])
         current = oracle_eliminate(current, var, prune=prune)
-        if (
-            lp_prune_threshold is not None
-            and len(current) > lp_prune_threshold
-        ):
-            current = prune_redundant(current, use_lp=True)
         remaining.discard(var)
     return current
 
 
-def oracle_eliminate_all_tracked(system, variables, final_lp_prune=True,
-                                 max_rows=600):
+def _elimination_costs(system, remaining):
+    """Greedy cost of every *remaining* variable present in *system*.
+
+    Returns ``{var: (cost, repr(var))}`` — ``cost`` is -1 when an
+    equality mentions the variable (substitution is always cheapest),
+    else |positives| × |negatives|.
+    """
+    counts = {}
+    for constraint in system:
+        is_equality = constraint.is_equality()
+        expr = constraint.expr
+        for var in constraint.variables():
+            if var not in remaining:
+                continue
+            entry = counts.get(var)
+            if entry is None:
+                entry = counts[var] = [0, 0, False]
+            if is_equality:
+                entry[2] = True
+            elif expr.coefficient(var) > 0:
+                entry[0] += 1
+            else:
+                entry[1] += 1
+    return {
+        var: ((-1, repr(var)) if has_eq
+              else (positives * negatives, repr(var)))
+        for var, (positives, negatives, has_eq) in counts.items()
+    }
+
+
+def prune_redundant(system, use_lp=False):
+    """Remove redundant inequality rows.
+
+    Always applies the cheap pairwise-dominance test: a row
+    ``e + c1 >= 0`` is dropped when another row ``e + c0 >= 0`` with
+    ``c0 <= c1`` exists (same linear part, weaker constant).  With
+    ``use_lp=True``, additionally removes every inequality implied by
+    the others (exact, via simplex).
+    """
+    by_linear_part = {}
+    equalities = []
+    for constraint in system:
+        if constraint.is_equality():
+            equalities.append(constraint)
+            continue
+        linear_part = constraint.expr - LinearExpr.constant(
+            constraint.expr.const
+        )
+        key = linear_part
+        best = by_linear_part.get(key)
+        if best is None or constraint.expr.const < best.expr.const:
+            by_linear_part[key] = constraint
+    pruned = ConstraintSystem(equalities)
+    pruned.extend(by_linear_part.values())
+
+    if not use_lp:
+        return pruned
+    return oracle_prune(pruned)
+
+
+def oracle_eliminate_all_tracked(system, variables, max_rows=600):
     """:func:`repro.linalg.fourier_motzkin.eliminate_all_tracked` on
     objects."""
     result = _reference_tracked(system, variables, max_rows)
-    if final_lp_prune and 1 < len(result) <= 60:
+    if 1 < len(result) <= 60:
         return prune_redundant(result, use_lp=True)
     return prune_redundant(result)
 

@@ -5,36 +5,41 @@ every projection the kernel and the object pipeline kept in
 ``fm_oracle.py`` must produce the same constraint rows, in the same
 canonical form, in the same insertion order.  These tests compare
 ``.constraints`` tuples directly (order-sensitive) on random systems
-and on systems the analysis really builds — lifted convex hulls and
-the dualized Eq. 8 pairs of ``perm`` — and the ``fm`` backend's
-verdicts and witnesses on top.
+(with and without equalities, including systems every target of which
+is substituted away so ``=`` rows survive) and on systems the analysis
+really builds — lifted convex hulls and the dualized Eq. 8 pairs of
+``perm`` — and the ``fm`` backend's verdicts and witnesses on top.
 """
 
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalyzerSettings, TerminationAnalyzer, clear_caches
 from repro.core import dual
 from repro.errors import FMBlowupError
+from repro.linalg.constraints import Constraint, ConstraintSystem, EQ
 from repro.linalg.fourier_motzkin import (
-    eliminate,
     eliminate_all,
     eliminate_all_tracked,
 )
+from repro.linalg.linexpr import LinearExpr
 from repro.lp import parse_program
 from repro.solve import get_backend
 
 from benchmarks.test_bench_kernel import hull_lift_workload
 from tests.property.fm_oracle import (
-    oracle_eliminate,
     oracle_eliminate_all,
     oracle_eliminate_all_tracked,
     oracle_feasible_point,
 )
-from tests.property.strategies import constraint_systems
+from tests.property.strategies import (
+    constraint_systems,
+    fractions,
+    linear_exprs,
+)
 
 POOL = ("x", "y", "z", "w")
 
@@ -44,12 +49,36 @@ def identical(first, second):
     return list(first.constraints) == list(second.constraints)
 
 
+@st.composite
+def defined_targets(draw):
+    """``(system, targets)`` where every target sits in an equality.
+
+    Each target gets one defining equality over ``x`` and ``y``,
+    inserted among random rows over the whole pool (which may carry
+    further equalities on the targets), so elimination is substitution
+    only and the ``=`` rows over ``x`` and ``y`` survive it.
+    """
+    rows = list(draw(constraint_systems(POOL, max_rows=5)))
+    targets = draw(
+        st.lists(st.sampled_from(("z", "w")), min_size=1, max_size=2,
+                 unique=True)
+    )
+    for target in targets:
+        coeff = draw(fractions().filter(bool))
+        rest = draw(linear_exprs(("x", "y")))
+        position = draw(st.integers(min_value=0, max_value=len(rows)))
+        rows.insert(
+            position, Constraint(LinearExpr.of(target, coeff) - rest, EQ)
+        )
+    return ConstraintSystem(rows), targets
+
+
 @given(constraint_systems(POOL), st.sampled_from(POOL))
 @settings(max_examples=120)
 def test_eliminate_byte_identical(system, var):
     assert identical(
-        eliminate(system, var),
-        oracle_eliminate(system, var),
+        eliminate_all(system, [var]),
+        oracle_eliminate_all(system, [var]),
     )
 
 
@@ -57,9 +86,39 @@ def test_eliminate_byte_identical(system, var):
 @settings(max_examples=80)
 def test_eliminate_unpruned_byte_identical(system, var):
     assert identical(
-        eliminate(system, var, prune=False),
-        oracle_eliminate(system, var, prune=False),
+        eliminate_all(system, [var], prune=False),
+        oracle_eliminate_all(system, [var], prune=False),
     )
+
+
+@given(defined_targets())
+@settings(max_examples=120, deadline=None)
+def test_substitution_only_byte_identical(case):
+    system, targets = case
+    assert identical(
+        eliminate_all(system, targets),
+        oracle_eliminate_all(system, targets),
+    )
+    assert identical(
+        eliminate_all(system, targets, prune=False),
+        oracle_eliminate_all(system, targets, prune=False),
+    )
+
+
+def test_substitution_keeps_equalities():
+    """Substituting every target away leaves the other ``=`` rows as
+    equalities, canonical and in order."""
+    x, y, z = (LinearExpr.of(name) for name in "xyz")
+    system = ConstraintSystem([
+        Constraint.eq(2 * z, x - y + 4),
+        Constraint.eq(y, 3 * x),
+        Constraint.ge(z, 1),
+        Constraint.eq(x + z, 5),
+    ])
+    result = eliminate_all(system, ["z"])
+    assert identical(result, oracle_eliminate_all(system, ["z"]))
+    assert [c.relation for c in result] == [EQ, ">=", EQ]
+    assert "z" not in result.variables()
 
 
 @given(
@@ -74,22 +133,35 @@ def test_eliminate_all_byte_identical(system, targets):
     )
 
 
-@given(
-    constraint_systems(POOL),
-    st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True),
+X, Y = LinearExpr.of("x"), LinearExpr.of("y")
+
+# Dominated rows and no target present: the final dominance pass fixes
+# which rows survive and in what order — ahead of the LP prune (three
+# rows), and in its place past 60 rows.
+DOMINATED = ConstraintSystem(
+    [Constraint.ge(X, 1), Constraint.ge(Y), Constraint.ge(X, 2)]
 )
-@settings(max_examples=60, deadline=None)
-def test_eliminate_all_with_lp_prune_byte_identical(system, targets):
-    assert identical(
-        eliminate_all(system, targets, lp_prune_threshold=8),
-        oracle_eliminate_all(system, targets, lp_prune_threshold=8),
-    )
+DOMINATED_WIDE = ConstraintSystem(
+    Constraint.ge(LinearExpr.of("v%d" % i), bound)
+    for i in range(31) for bound in (1, 2)
+)
+
+# Splitting the contradiction "0 = 1" must leave no trivially true
+# "1 >= 0" behind: unpruned, it would survive to the fm backend's
+# rows_out.
+CONTRADICTION = ConstraintSystem([
+    Constraint.eq(LinearExpr.of("z"), 0),
+    Constraint(LinearExpr.constant(1), EQ),
+    Constraint.ge(X),
+])
 
 
 @given(
     constraint_systems(POOL),
     st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True),
 )
+@example(DOMINATED, ["z"])
+@example(DOMINATED_WIDE, ["z"])
 @settings(max_examples=60, deadline=None)
 def test_tracked_elimination_byte_identical(system, targets):
     """Same projection — or the same blow-up — from kernel and oracle."""
@@ -120,6 +192,21 @@ def test_fm_backend_verdicts_identical(system):
     if from_int.feasible:
         assert from_int.witness == witness
         assert system.satisfied_by(from_int.witness)
+
+
+@given(defined_targets(), st.booleans())
+@example((CONTRADICTION, ["z"]), False)
+@settings(max_examples=80, deadline=None)
+def test_fm_backend_equality_witnesses_identical(case, prune):
+    """The ``fm`` backend on systems whose first stages substitute:
+    verdict, surviving rows and witness match the oracle."""
+    system, _ = case
+    from_int = get_backend("fm", prune=prune).feasible_point(system)
+    feasible, rows_out, witness = oracle_feasible_point(system, prune=prune)
+    assert (from_int.feasible, from_int.stats.rows_out, from_int.witness) \
+        == (feasible, rows_out, witness)
+    if feasible:
+        assert system.satisfied_by(witness)
 
 
 # -- systems the analysis builds ----------------------------------------------
@@ -173,7 +260,8 @@ def test_perm_eq8_pairs_byte_identical():
         )
         for var in multipliers:
             assert identical(
-                eliminate(system, var), oracle_eliminate(system, var)
+                eliminate_all(system, [var]),
+                oracle_eliminate_all(system, [var]),
             )
         feasible, rows_out, witness = oracle_feasible_point(system)
         outcome = get_backend("fm").feasible_point(system)

@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 from repro.errors import FMBlowupError
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.fourier_motzkin import (
-    eliminate,
+    eliminate_all,
     eliminate_all_tracked,
-    prune_redundant,
 )
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.polyhedron import Polyhedron
@@ -43,22 +42,22 @@ def test_fm_projection_contains_restrictions(system, point):
     projection (soundness of elimination)."""
     if not system.satisfied_by(point):
         return
-    projected = eliminate(system, "z")
+    projected = eliminate_all(system, ["z"])
     assert projected.satisfied_by(point)
 
 
 @given(constraint_systems(POOL))
 @settings(max_examples=80)
 def test_fm_preserves_satisfiability(system):
-    projected = eliminate(system, "z")
+    projected = eliminate_all(system, ["z"])
     assert is_feasible(system) == is_feasible(projected)
 
 
 @given(constraint_systems(POOL))
 @settings(max_examples=60)
 def test_tracked_elimination_agrees_with_plain(system):
-    plain = eliminate(eliminate(system, "z"), "y")
-    tracked = eliminate_all_tracked(system, ["z", "y"], final_lp_prune=False)
+    plain = eliminate_all(eliminate_all(system, ["z"]), ["y"])
+    tracked = eliminate_all_tracked(system, ["z", "y"])
     assert is_feasible(plain) == is_feasible(tracked)
     point = feasible_point(plain)
     if point is not None:
@@ -70,7 +69,8 @@ def test_tracked_elimination_agrees_with_plain(system):
 @given(constraint_systems(POOL), assignments(POOL))
 @settings(max_examples=80)
 def test_prune_redundant_preserves_solutions(system, point):
-    pruned = prune_redundant(system, use_lp=True)
+    # Nothing to eliminate: the dominance pass and the LP prune alone.
+    pruned = eliminate_all_tracked(system, [])
     assert system.satisfied_by(point) == pruned.satisfied_by(point)
 
 
