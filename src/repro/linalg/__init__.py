@@ -1,13 +1,15 @@
 """Exact linear algebra: expressions, constraints, FM, simplex.
 
 Nothing here touches floating point, so results are exact — a
-termination *proof* must not depend on rounding.  Expressions and
-constraints hold :class:`fractions.Fraction` coefficients; the
-Fourier–Motzkin engine and the simplex tableau compute on integer rows
-and hand back the same exact objects.  The subpackage provides:
+termination *proof* must not depend on rounding.  A constraint stores
+its canonical integer row, the one row format the Fourier–Motzkin
+engine, the simplex tableau and polyhedra all compute on; linear
+expressions hold :class:`fractions.Fraction` coefficients and serve to
+build rows and to view them.  The subpackage provides:
 
 - :mod:`repro.linalg.linexpr` — immutable linear expressions.
-- :mod:`repro.linalg.constraints` — constraints and constraint systems.
+- :mod:`repro.linalg.constraints` — constraints (canonical integer
+  rows) and constraint systems.
 - :mod:`repro.linalg.rows` — the integer row engine every
   Fourier–Motzkin elimination runs on: substitution, pairwise
   combination, dominance pruning, and the greedy variable choice.

@@ -1,56 +1,103 @@
 """Linear constraints and constraint systems.
 
 A :class:`Constraint` is ``expr REL 0`` with ``REL`` one of ``>=``,
-``<=``, ``=``.  Constraints normalize on construction: ``<=`` flips to
-``>=`` by negating the expression, and coefficients are rescaled to a
-canonical integer form so syntactically different but identical
-constraints compare (and hash) equal — important for redundancy pruning
-during Fourier–Motzkin elimination.
+``<=``, ``=``, stored as its canonical integer row: the nonzero
+``(variable, int)`` terms in ``repr`` order, an ``int`` constant, and
+the relation (``>=`` or ``=``).  A ``<=`` row flips to ``>=`` by
+negation, rational coefficients scale to integers, and
+:func:`canonical_row` divides by the gcd and sign-normalizes
+equalities, so syntactically different but identical constraints
+compare (and hash) equal — important for redundancy pruning during
+Fourier–Motzkin elimination.
+
+This row is the one row format of :mod:`repro.linalg`: the FM kernel
+interns its terms into dense tuples and materializes results with
+:meth:`Constraint.from_row`, the simplex tableau reads its ints, and
+:class:`~repro.linalg.polyhedron.Polyhedron` builds hull rows from
+them.  A :class:`LinearExpr` appears only at the edges: rows are built
+from expressions, and ``.expr`` is a derived read-only view.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
-from repro.linalg.linexpr import _as_expr
+from repro.linalg.linexpr import LinearExpr, _as_expr, render_terms
 
 GE = ">="
 LE = "<="
 EQ = "="
 
-_VALID_RELATIONS = (GE, LE, EQ)
+_set = object.__setattr__
+
+
+def canonical_row(coeffs, const, equality=False):
+    """The canonical form ``(coeffs, const)`` of the integer row
+    ``coeffs . x + const >= 0`` (``= 0`` with *equality*), with
+    *coeffs* in the ``repr`` order of their variables.
+
+    An equality is negated when its first nonzero coefficient (with
+    none, its constant) is negative; then every entry is divided by
+    the gcd of all entries, the constant included.  The one row
+    canonicalization of :mod:`repro.linalg`: :class:`Constraint` and
+    the FM kernel both use it.
+    """
+    if equality and next((c for c in coeffs if c), const) < 0:
+        coeffs = tuple(-c for c in coeffs)
+        const = -const
+    divisor = gcd(const, *coeffs)
+    if divisor > 1:
+        coeffs = tuple(c // divisor for c in coeffs)
+        const //= divisor
+    return coeffs, const
 
 
 class Constraint:
-    """A normalized linear constraint: ``expr >= 0`` or ``expr = 0``."""
+    """A normalized linear constraint: ``expr >= 0`` or ``expr = 0``,
+    held as ``sum(c * var for var, c in terms) + const``."""
 
-    __slots__ = ("expr", "relation")
+    __slots__ = ("terms", "const", "relation", "_hash", "_expr")
 
     def __init__(self, expr, relation=GE):
-        if relation not in _VALID_RELATIONS:
-            raise ValueError("bad relation %r" % relation)
         expr = _as_expr(expr)
+        items = expr.items()
+        constant = expr.const
+        scale = lcm(constant.denominator, *(c.denominator for _, c in items))
+        self._init(
+            [var for var, _ in items],
+            [c.numerator * (scale // c.denominator) for _, c in items],
+            constant.numerator * (scale // constant.denominator),
+            relation,
+        )
+
+    @classmethod
+    def from_row(cls, variables, coeffs, const, relation=GE):
+        """The constraint ``coeffs . variables + const REL 0`` of an
+        integer row: *variables* are distinct and in ``repr`` order,
+        zero coefficients are dropped, and the row is canonicalized."""
+        self = object.__new__(cls)
+        self._init(variables, coeffs, const, relation)
+        return self
+
+    def _init(self, variables, coeffs, const, relation):
         if relation == LE:
-            expr = -expr
+            coeffs = [-c for c in coeffs]
+            const = -const
             relation = GE
-        expr = _canonical_scale(expr, relation)
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "relation", relation)
+        elif relation not in (GE, EQ):
+            raise ValueError("bad relation %r" % relation)
+        coeffs, const = canonical_row(coeffs, const, relation == EQ)
+        terms = tuple((var, c) for var, c in zip(variables, coeffs) if c)
+        _set(self, "terms", terms)
+        _set(self, "const", const)
+        _set(self, "relation", relation)
+        _set(self, "_hash", hash((relation, terms, const)))
+        _set(self, "_expr", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("Constraint is immutable")
 
     # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def _from_canonical(cls, expr, relation=GE):
-        """Internal: wrap an expression already in canonical form (the
-        integer row kernel's materialization boundary) without
-        re-running ``_canonical_scale``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "relation", relation)
-        return self
 
     @classmethod
     def ge(cls, left, right=0):
@@ -67,11 +114,23 @@ class Constraint:
         """left = right"""
         return cls(_as_expr(left) - _as_expr(right), EQ)
 
-    # -- predicates --------------------------------------------------------------
+    # -- views -------------------------------------------------------------------
+
+    @property
+    def expr(self):
+        """The row as a :class:`LinearExpr` (a read-only view, built on
+        first use)."""
+        expr = self._expr
+        if expr is None:
+            expr = LinearExpr(dict(self.terms), self.const)
+            _set(self, "_expr", expr)
+        return expr
 
     def variables(self):
         """The variables occurring in this object."""
-        return self.expr.variables()
+        return frozenset(var for var, _ in self.terms)
+
+    # -- predicates --------------------------------------------------------------
 
     def is_equality(self):
         """True for '=' constraints (vs '>=')."""
@@ -79,19 +138,15 @@ class Constraint:
 
     def is_trivial(self):
         """Constraint with no variables that always holds."""
-        if self.expr.variables():
+        if self.terms:
             return False
-        if self.relation == EQ:
-            return self.expr.const == 0
-        return self.expr.const >= 0
+        return self.const == 0 if self.relation == EQ else self.const >= 0
 
     def is_contradiction(self):
         """Constraint with no variables that never holds."""
-        if self.expr.variables():
+        if self.terms:
             return False
-        if self.relation == EQ:
-            return self.expr.const != 0
-        return self.expr.const < 0
+        return self.const != 0 if self.relation == EQ else self.const < 0
 
     def satisfied_by(self, assignment):
         """Evaluate against a full variable assignment."""
@@ -112,47 +167,33 @@ class Constraint:
         """Split an equality into its two defining inequalities."""
         if self.relation == GE:
             return (self,)
-        return (Constraint(self.expr, GE), Constraint(-self.expr, GE))
+        variables = [var for var, _ in self.terms]
+        coeffs = [c for _, c in self.terms]
+        return (
+            Constraint.from_row(variables, coeffs, self.const, GE),
+            Constraint.from_row(variables, coeffs, self.const, LE),
+        )
 
     # -- identity --------------------------------------------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, Constraint)
+            and self._hash == other._hash
             and self.relation == other.relation
-            and self.expr == other.expr
+            and self.const == other.const
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.relation, self.expr))
+        return self._hash
 
     def __str__(self):
-        return "%s %s 0" % (self.expr, self.relation)
+        return "%s %s 0" % (render_terms(self.terms, self.const),
+                            self.relation)
 
     def __repr__(self):
         return "Constraint(%r, %r)" % (self.expr, self.relation)
-
-
-def _canonical_scale(expr, relation):
-    """Rescale so integer coefficients with gcd 1; sign-normalize
-    equalities by their first (deterministically ordered) coefficient."""
-    expr = expr.scale_to_integers()
-    numerators = [abs(int(coeff)) for _, coeff in expr.items()]
-    if expr.const != 0:
-        numerators.append(abs(int(expr.const)))
-    if numerators:
-        divisor = 0
-        for value in numerators:
-            divisor = gcd(divisor, value)
-        if divisor > 1:
-            expr = expr / divisor
-    if relation == EQ:
-        items = expr.items()
-        if items and items[0][1] < 0:
-            expr = -expr
-        elif not items and expr.const < 0:
-            expr = -expr
-    return expr
 
 
 class ConstraintSystem:
@@ -168,31 +209,6 @@ class ConstraintSystem:
         for constraint in constraints:
             self.add(constraint)
 
-    @classmethod
-    def _from_canonical_unique(cls, constraints):
-        """Trusted boundary: wrap rows known to be canonical,
-        non-trivial, and pairwise distinct without re-hashing them.
-
-        The dedup set is built lazily on the first membership test or
-        ``add`` — kernels materializing large projections never pay
-        the (Fraction-heavy) constraint hashing unless a caller
-        actually mutates or probes the system.
-        """
-        self = cls.__new__(cls)
-        self._constraints = list(constraints)
-        self._seen = None
-        variables = set()
-        for constraint in self._constraints:
-            variables |= constraint.variables()
-        self._variables = variables
-        return self
-
-    def _dedup_index(self):
-        seen = self._seen
-        if seen is None:
-            seen = self._seen = set(self._constraints)
-        return seen
-
     def freeze(self):
         """Make the system read-only (``add``/``extend`` raise
         :class:`TypeError` from now on); returns it."""
@@ -207,11 +223,10 @@ class ConstraintSystem:
             raise TypeError("expected Constraint, got %r" % (constraint,))
         if constraint.is_trivial():
             return
-        seen = self._dedup_index()
-        if constraint not in seen:
-            seen.add(constraint)
+        if constraint not in self._seen:
+            self._seen.add(constraint)
             self._constraints.append(constraint)
-            self._variables |= constraint.variables()
+            self._variables.update(var for var, _ in constraint.terms)
 
     def extend(self, constraints):
         """Add every constraint from the iterable."""
@@ -226,10 +241,10 @@ class ConstraintSystem:
     def constraint_set(self):
         """The constraints as a set (rows are canonically normalized,
         so set equality means syntactic system equality)."""
-        return frozenset(self._dedup_index())
+        return frozenset(self._seen)
 
     def __contains__(self, constraint):
-        return constraint in self._dedup_index()
+        return constraint in self._seen
 
     def variables(self):
         """The variables occurring in this object.

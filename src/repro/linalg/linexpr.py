@@ -12,6 +12,7 @@ expressions for variables, and exact evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def _to_fraction(value):
@@ -59,26 +60,6 @@ class LinearExpr:
     def of(cls, var, coefficient=1):
         """A single-variable expression with the given coefficient."""
         return cls({var: coefficient})
-
-    @classmethod
-    def _from_canonical_integers(cls, coefficients, constant):
-        """Internal: wrap ``{var: int}`` / ``int`` data without the
-        constructor's conversion and zero-filtering passes.
-
-        Only the integer row kernel's materialization boundary calls
-        this — its rows are nonzero-coefficient canonical integers by
-        construction.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(
-            self,
-            "_coefficients",
-            {var: Fraction(c) for var, c in coefficients.items()},
-        )
-        object.__setattr__(self, "_constant", Fraction(constant))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_variables", None)
-        return self
 
     # -- access ------------------------------------------------------------------
 
@@ -196,34 +177,15 @@ class LinearExpr:
 
     def scale_to_integers(self):
         """Multiply by the positive lcm of denominators; returns expr."""
-        denominators = [self._constant.denominator]
-        denominators.extend(
-            coeff.denominator for coeff in self._coefficients.values()
+        return self * lcm(
+            self._constant.denominator,
+            *(coeff.denominator for coeff in self._coefficients.values()),
         )
-        factor = 1
-        for denominator in denominators:
-            factor = _lcm(factor, denominator)
-        return self * factor
 
     # -- rendering --------------------------------------------------------------------------
 
     def __str__(self):
-        parts = []
-        for var, coeff in self.items():
-            name = _var_name(var)
-            if coeff == 1:
-                parts.append("+ %s" % name)
-            elif coeff == -1:
-                parts.append("- %s" % name)
-            elif coeff > 0:
-                parts.append("+ %s*%s" % (coeff, name))
-            else:
-                parts.append("- %s*%s" % (-coeff, name))
-        if self._constant != 0 or not parts:
-            sign = "+" if self._constant >= 0 else "-"
-            parts.append("%s %s" % (sign, abs(self._constant)))
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
+        return render_terms(self.items(), self._constant)
 
     def __repr__(self):
         return "LinearExpr(%r, %r)" % (dict(self._coefficients), self._constant)
@@ -235,16 +197,32 @@ def _as_expr(value):
     return LinearExpr.constant(_to_fraction(value))
 
 
+def render_terms(terms, constant):
+    """``constant + sum(coefficient * variable)`` as text, the terms
+    in the given order (shared by :class:`LinearExpr` and
+    :class:`~repro.linalg.constraints.Constraint`)."""
+    parts = []
+    for var, coeff in terms:
+        name = _var_name(var)
+        if coeff == 1:
+            parts.append("+ %s" % name)
+        elif coeff == -1:
+            parts.append("- %s" % name)
+        elif coeff > 0:
+            parts.append("+ %s*%s" % (coeff, name))
+        else:
+            parts.append("- %s*%s" % (-coeff, name))
+    if constant != 0 or not parts:
+        sign = "+" if constant >= 0 else "-"
+        parts.append("%s %s" % (sign, abs(constant)))
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else text
+
+
 def _var_name(var):
     if isinstance(var, tuple):
         return ".".join(str(part) for part in var)
     return str(var)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def variable(name):

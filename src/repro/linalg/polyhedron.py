@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.linalg.constraints import Constraint, ConstraintSystem, GE
+from repro.linalg.constraints import Constraint, ConstraintSystem, EQ, GE
 from repro.linalg.fourier_motzkin import (
     FMBlowupError,
     eliminate_all_tracked,
@@ -38,8 +38,9 @@ class Polyhedron:
     def __init__(self, dimensions, constraints=()):
         self.dimensions = tuple(dimensions)
         system = ConstraintSystem()
+        dimensions = set(self.dimensions)
         for constraint in constraints:
-            extra = constraint.variables() - set(self.dimensions)
+            extra = constraint.variables() - dimensions
             if extra:
                 raise ValueError(
                     "constraint %s uses non-dimension variables %s"
@@ -218,10 +219,7 @@ class Polyhedron:
         candidates = {}
         for system in (self.system, other.system):
             for constraint in system.inequalities():
-                linear = constraint.expr - LinearExpr.constant(
-                    constraint.expr.const
-                )
-                candidates[linear] = None
+                candidates[LinearExpr(dict(constraint.terms))] = None
         kept = []
         for linear in candidates:
             first = solve_lp(linear, self.system)
@@ -261,19 +259,12 @@ class Polyhedron:
 
         lifted = ConstraintSystem()
         for d in self.dimensions:
-            lifted.add(
-                Constraint.eq(
-                    LinearExpr.of(d),
-                    LinearExpr.of(y1[d]) + LinearExpr.of(y2[d]),
-                )
-            )
+            lifted.add(_row([(d, 1), (y1[d], -1), (y2[d], -1)], 0, EQ))
         lifted.extend(_homogenize(self.system, y1, m1))
         lifted.extend(_homogenize(other.system, y2, m2))
-        lifted.add(
-            Constraint.eq(LinearExpr.of(m1) + LinearExpr.of(m2), 1)
-        )
-        lifted.add(Constraint.ge(LinearExpr.of(m1)))
-        lifted.add(Constraint.ge(LinearExpr.of(m2)))
+        lifted.add(_row([(m1, 1), (m2, 1)], -1, EQ))
+        lifted.add(_row([(m1, 1)], 0, GE))
+        lifted.add(_row([(m2, 1)], 0, GE))
 
         to_eliminate = lifted.variables() - set(self.dimensions)
         projected = eliminate_all_tracked(lifted, to_eliminate)
@@ -301,19 +292,23 @@ class Polyhedron:
         Keeps the syntactically simplest constraints (fewest variables,
         smallest coefficients) — dropping rows only enlarges the
         polyhedron, so every client of the abstract domain stays sound.
-        Used by the fixpoint to bound iterate complexity.
+        Ties go by the canonical row, so equal rows sort alike however
+        they were built.  Used by the fixpoint to bound iterate
+        complexity.
         """
         if len(self.system) <= max_rows:
             return self
 
         def complexity(constraint):
             """Sort key: fewest variables, smallest coefficients first."""
-            coefficients = [abs(c) for _, c in constraint.expr.items()]
+            coefficients = [abs(c) for _, c in constraint.terms]
             return (
                 len(coefficients),
                 max(coefficients, default=0),
-                abs(constraint.expr.const),
-                repr(constraint),
+                abs(constraint.const),
+                [(repr(var), c) for var, c in constraint.terms],
+                constraint.const,
+                constraint.relation,
             )
 
         kept = sorted(self.system, key=complexity)[:max_rows]
@@ -342,11 +337,20 @@ def _forget(system, variables):
     )
 
 
+def _row(terms, const, relation):
+    """The constraint ``sum(c * var) + const REL 0`` of integer
+    *terms* given in any order."""
+    terms = sorted(terms, key=lambda term: repr(term[0]))
+    return Constraint.from_row(
+        [var for var, _ in terms], [c for _, c in terms], const, relation
+    )
+
+
 def _homogenize(system, var_mapping, multiplier):
     """Rows ``linear . x + const >= 0`` become
     ``linear . y + const * m >= 0`` (same for equalities)."""
     for constraint in system:
-        linear = constraint.expr - LinearExpr.constant(constraint.expr.const)
-        renamed = linear.rename(var_mapping)
-        expr = renamed + LinearExpr.of(multiplier, constraint.expr.const)
-        yield Constraint(expr, constraint.relation)
+        terms = [(var_mapping.get(var, var), c) for var, c in constraint.terms]
+        if constraint.const:
+            terms.append((multiplier, constraint.const))
+        yield _row(terms, 0, constraint.relation)

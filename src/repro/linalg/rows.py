@@ -7,12 +7,14 @@ machine-int arithmetic, with one implementation of each piece:
 
 - **interning** — the variables of one projection are sorted by
   ``repr`` and mapped to dense indices once; a row is a tuple of
-  integer coefficients plus an integer constant;
-- **canonicalization** — :func:`normalize_row` divides by the gcd of
-  all entries including the constant, exactly mirroring the canonical
-  form of :class:`Constraint`; ``=`` rows are first sign-normalized so
-  their first nonzero coefficient (first in index order = first in
-  ``repr`` order) is positive;
+  integer coefficients plus an integer constant, read straight from
+  each :class:`Constraint`'s canonical integer terms;
+- **canonicalization** — :func:`normalize_row` is
+  :func:`~repro.linalg.constraints.canonical_row`, the one routine
+  :class:`Constraint` itself uses (``=`` rows sign-normalized by their
+  first nonzero coefficient — first in index order = first in ``repr``
+  order — then divided by the gcd of all entries), plus the drop of
+  trivially true rows;
 - **substitution** — :func:`substitute` is the integer Gaussian step
   on *flagged* rows ``(is_eq, coeffs, const)``: the first ``=`` row
   mentioning the variable is solved for it and substituted everywhere
@@ -35,7 +37,8 @@ after a ``repr``-order one (keeping one snapshot per stage for the
 witness), and :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`
 with every equality split up front (Chernikov-tracked).
 
-Constraint objects are materialized only at the projection boundary.
+Results leave as :meth:`Constraint.from_row` over the surviving
+integer rows; no rational arithmetic happens on the way in or out.
 The results are byte-identical to the self-contained object pipeline
 kept as the test oracle (``tests/property/fm_oracle.py``) — same rows,
 same canonical form, same insertion order — which the differential
@@ -45,19 +48,21 @@ tests in ``tests/property/test_kernel_props.py`` enforce.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from repro.errors import FMBlowupError
-from repro.linalg.constraints import Constraint, ConstraintSystem, EQ, GE
-from repro.linalg.linexpr import LinearExpr
+from repro.linalg.constraints import (
+    Constraint,
+    ConstraintSystem,
+    EQ,
+    GE,
+    canonical_row,
+)
 from repro.obs import METRICS
 
 __all__ = [
     "RowKernel",
     "StagedEliminator",
     "FMBlowupError",
-    "row_of_constraint",
-    "constraint_of_row",
 ]
 
 
@@ -66,69 +71,32 @@ def intern_variables(system):
     return tuple(sorted(system.variables(), key=repr))
 
 
-def row_of_constraint(constraint, variables):
-    """``(coeffs, const)`` integer row of a canonical constraint.
-
-    Constraints normalize to integer coefficients with gcd 1 on
-    construction, so the Fractions here always have denominator 1.
-    """
-    expr = constraint.expr
-    coeffs = tuple(int(expr.coefficient(var)) for var in variables)
-    return coeffs, int(expr.const)
-
-
-def constraint_of_row(row, variables, relation=GE):
-    """Materialize one integer row back into a :class:`Constraint`.
-
-    Kernel rows are gcd-normalized (and, for ``=``, sign-normalized)
-    by construction, so the constructor's ``_canonical_scale`` pass
-    would be a no-op — the trusted fast path skips it.
-    """
-    coeffs, const = row
-    return Constraint._from_canonical(
-        LinearExpr._from_canonical_integers(
-            {var: c for var, c in zip(variables, coeffs) if c}, const
-        ),
-        relation,
-    )
-
-
-def normalize_row(coeffs, const):
-    """Divide by the gcd of all entries (mirrors ``_canonical_scale``
-    for ``>=`` rows); returns None for trivially-true rows."""
-    divisor = abs(const)
-    for c in coeffs:
-        divisor = gcd(divisor, c)
-    if divisor > 1:
-        coeffs = tuple(c // divisor for c in coeffs)
-        const = const // divisor
-    if const >= 0 and not any(coeffs):
-        return None  # trivial "c >= 0": the object path drops it on add
-    return coeffs, const
-
-
-def _normalize_equality(coeffs, const):
-    """Canonical form of an ``=`` row: sign-normalized by its first
-    nonzero coefficient (or, with none, its constant), then
-    :func:`normalize_row`; None for the trivial ``0 = 0``."""
-    leading = next((c for c in coeffs if c), const)
-    if leading < 0:
-        coeffs = tuple(-c for c in coeffs)
-        const = -const
-    if any(coeffs):
-        return normalize_row(coeffs, const)
-    return (coeffs, 1) if const else None  # "0 = 1": the contradiction
+def normalize_row(coeffs, const, equality=False):
+    """:func:`~repro.linalg.constraints.canonical_row`, or None for a
+    trivially true row (``c >= 0`` with ``c >= 0``, or ``0 = 0``) —
+    the object path drops those on ``ConstraintSystem.add``."""
+    coeffs, const = canonical_row(coeffs, const, equality)
+    if any(coeffs) or (const if equality else const < 0):
+        return coeffs, const
+    return None
 
 
 # -- flagged rows: the substitution prefix ------------------------------------
 
 
 def flagged_rows(system, variables):
-    """``(is_eq, coeffs, const)`` rows of *system*, in order."""
-    return [
-        (constraint.is_equality(),) + row_of_constraint(constraint, variables)
-        for constraint in system
-    ]
+    """``(is_eq, coeffs, const)`` dense rows of *system*, in order —
+    each constraint's integer terms placed at their interned index."""
+    index = {var: i for i, var in enumerate(variables)}
+    width = len(variables)
+    rows = []
+    for constraint in system:
+        coeffs = [0] * width
+        for var, c in constraint.terms:
+            coeffs[index[var]] = c
+        rows.append((constraint.is_equality(), tuple(coeffs),
+                     constraint.const))
+    return rows
 
 
 def split_equalities(rows):
@@ -152,7 +120,7 @@ def materialize(rows, variables):
     """Flagged rows as a :class:`ConstraintSystem` (``=`` rows stay
     equalities)."""
     return ConstraintSystem(
-        constraint_of_row((coeffs, const), variables, EQ if is_eq else GE)
+        Constraint.from_row(variables, coeffs, const, EQ if is_eq else GE)
         for is_eq, coeffs, const in rows
     )
 
@@ -189,10 +157,10 @@ def substitute(rows, j):
         d = coeffs[j]
         if d:
             ds = d * s
-            normalize = _normalize_equality if is_eq else normalize_row
-            combined = normalize(
+            combined = normalize_row(
                 tuple(m * coeffs[i] - ds * ecoeffs[i] for i in width),
                 m * const - ds * econst,
+                is_eq,
             )
             if combined is None:
                 continue
@@ -393,7 +361,8 @@ class RowKernel:
         """Materialize the surviving rows, in order, as canonical
         ``>=`` constraints."""
         return ConstraintSystem(
-            constraint_of_row(row, self.variables) for row in self.rows
+            Constraint.from_row(self.variables, coeffs, const)
+            for coeffs, const in self.rows
         )
 
 

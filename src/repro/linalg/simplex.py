@@ -10,9 +10,10 @@ Fourier–Motzkin, but we also need a numeric LP solver for
 - polyhedron emptiness / entailment in inter-argument inference,
 - exact LP-based redundancy pruning (ablation).
 
-The tableau pivots fraction-free on Python integers (Bareiss) under
-Bland's rule, so the solver is exact and cannot cycle; values, duals,
-and assignments come back as :class:`fractions.Fraction`.
+The tableau reads each constraint's canonical integer row and pivots
+fraction-free on Python integers (Bareiss) under Bland's rule, so the
+solver is exact and cannot cycle; only the result — values, duals,
+and assignments — comes back as :class:`fractions.Fraction`.
 
 Conventions
 -----------
@@ -28,6 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from repro.errors import InfeasibleError, UnboundedError
+from repro.linalg.constraints import Constraint
 from repro.linalg.linexpr import LinearExpr
 from repro.obs import METRICS
 
@@ -67,7 +69,8 @@ def solve_lp(objective, constraints, sense="min", nonnegative=(),
     Parameters
     ----------
     objective:
-        A :class:`LinearExpr` (its constant shifts the optimum value).
+        A :class:`LinearExpr` (its constant shifts the optimum value),
+        or a :class:`Constraint`, whose row ``expr`` is the objective.
     constraints:
         A :class:`ConstraintSystem` or iterable of :class:`Constraint`.
     sense:
@@ -140,7 +143,7 @@ def entails(constraints, candidate, nonnegative=(), start=None):
         return entails(constraints, lower, nonnegative, start) and entails(
             constraints, upper, nonnegative, start
         )
-    result = solve_lp(candidate.expr, constraints, nonnegative=nonnegative,
+    result = solve_lp(candidate, constraints, nonnegative=nonnegative,
                       start=start)
     if result.status == INFEASIBLE:
         return True
@@ -179,20 +182,24 @@ class _Tableau:
     """
 
     def __init__(self, objective, rows, sense, nonnegative, start=None):
-        self._objective = objective
+        if isinstance(objective, Constraint):
+            self._objective = (objective.terms, objective.const)
+        else:
+            self._objective = (objective.items(), objective.const)
         self._sense = sense
-        variables = set(objective.variables())
+        variables = {var for var, _ in self._objective[0]}
         for row in rows:
-            variables |= row.variables()
+            variables.update(var for var, _ in row.terms)
         self._variables = sorted(variables, key=repr)
         self._start = None
         if start is not None:
-            shift = {var: Fraction(start.get(var, 0))
-                     for var in self._variables}
-            scale = lcm(*(value.denominator for value in shift.values()))
-            self._start = (shift, scale)
-            scaled_shift = {var: int(value * scale)
-                            for var, value in shift.items()}
+            shift = [start.get(var, 0) for var in self._variables]
+            scale = lcm(*(value.denominator for value in shift))
+            self._start = (start, scale)
+            scaled_shift = {
+                var: value.numerator * (scale // value.denominator)
+                for var, value in zip(self._variables, shift)
+            }
         if nonnegative == "all":
             nonnegative = self._variables
         nonnegative = set(nonnegative)
@@ -222,19 +229,15 @@ class _Tableau:
         for i, row in enumerate(rows):
             # Row as written: linear . x  (relation)  -const
             coeffs = [0] * (self._num_columns + 1)
-            for var, coeff in row.expr.items():
-                assert coeff.denominator == 1, "non-integer constraint row"
+            for var, coeff in row.terms:
                 plus, minus = self._var_columns[var]
-                coeffs[plus] += coeff.numerator
+                coeffs[plus] = coeff
                 if minus is not None:
-                    coeffs[minus] -= coeff.numerator
-            const = row.expr.const
-            assert const.denominator == 1, "non-integer constraint row"
-            const = const.numerator
+                    coeffs[minus] = -coeff
+            const = row.const
             if start is not None:
                 const = const * scale + sum(
-                    coeff.numerator * scaled_shift[var]
-                    for var, coeff in row.expr.items()
+                    coeff * scaled_shift[var] for var, coeff in row.terms
                 )
                 if const < 0 or (const and row.is_equality()):
                     raise ValueError("start violates row %d: %s" % (i, row))
@@ -267,18 +270,21 @@ class _Tableau:
         return [0] * self._first_artificial + [1] * len(self._A)
 
     def _phase2_costs(self):
-        """The phase-2 costs scaled by a positive integer to ints, and
-        the scale (positive scaling keeps every reduced-cost sign,
-        hence the pivot sequence)."""
-        costs = [Fraction(0)] * self._num_columns
-        factor = 1 if self._sense == "min" else -1
-        for var, coeff in self._objective.items():
+        """The phase-2 costs as ints, scaled by the lcm of the
+        objective's denominators (1 for an integer objective), and the
+        scale (positive scaling keeps every reduced-cost sign, hence
+        the pivot sequence)."""
+        terms = self._objective[0]
+        scale = lcm(*(coeff.denominator for _, coeff in terms))
+        factor = scale if self._sense == "min" else -scale
+        costs = [0] * self._num_columns
+        for var, coeff in terms:
+            cost = factor * coeff.numerator // coeff.denominator
             plus, minus = self._var_columns[var]
-            costs[plus] += factor * coeff
+            costs[plus] = cost
             if minus is not None:
-                costs[minus] -= factor * coeff
-        scale = lcm(*(value.denominator for value in costs))
-        return [int(value * scale) for value in costs], scale
+                costs[minus] = -cost
+        return costs, scale
 
     # -- simplex machinery --------------------------------------------------------
 
@@ -404,7 +410,10 @@ class _Tableau:
             return LPResult(status=UNBOUNDED, pivots=self._pivots)
 
         assignment = self._extract_assignment()
-        value = self._objective.evaluate(assignment)
+        terms, const = self._objective
+        value = Fraction(const)
+        for var, coeff in terms:
+            value += coeff * assignment[var]
         duals = self._extract_duals(costs, scale)
         return LPResult(
             status=OPTIMAL, value=value, assignment=assignment, duals=duals,
@@ -424,7 +433,7 @@ class _Tableau:
             assignment[var] = value
         if self._start is not None:
             shift, scale = self._start
-            assignment = {var: shift[var] + value / scale
+            assignment = {var: shift.get(var, 0) + value / scale
                           for var, value in assignment.items()}
         return assignment
 

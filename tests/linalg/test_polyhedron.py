@@ -190,3 +190,16 @@ class TestWeakened:
         ]
         poly = make(rows)
         assert poly.entails(poly.weakened(5))
+
+    def test_ties_break_on_the_canonical_row(self):
+        # b - a >= 0 and a + b >= 0 tie on variables, coefficients and
+        # constant; which one survives must not depend on the order the
+        # terms of b - a were written in.
+        plus = Constraint.ge(a() + b())
+        for minus in (
+            Constraint(LinearExpr({"b": 1, "a": -1})),
+            Constraint(LinearExpr({"a": -1, "b": 1})),
+        ):
+            for rows in ([plus, minus], [minus, plus]):
+                kept = make(rows).weakened(1).system.constraints
+                assert kept == (minus,)

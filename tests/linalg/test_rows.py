@@ -10,11 +10,10 @@ from repro.linalg.linexpr import LinearExpr
 from repro.linalg.rows import (
     RowKernel,
     StagedEliminator,
-    constraint_of_row,
     flagged_rows,
     intern_variables,
+    materialize,
     normalize_row,
-    row_of_constraint,
     split_equalities,
     substitute,
     substitute_equalities,
@@ -44,20 +43,31 @@ class TestInterning:
     def test_row_round_trip(self):
         constraint = Constraint.ge(2 * x() - 3 * z() + 5)
         variables = ("x", "y", "z")
-        row = row_of_constraint(constraint, variables)
-        assert row == ((2, 0, -3), 5)
-        assert constraint_of_row(row, variables) == constraint
+        rows = flagged_rows(ConstraintSystem([constraint]), variables)
+        assert rows == [(False, (2, 0, -3), 5)]
+        assert materialize(rows, variables).constraints == (constraint,)
+        assert Constraint.from_row(variables, (2, 0, -3), 5) == constraint
 
     def test_round_trip_preserves_canonical_hash(self):
-        # The trusted materialization path must produce objects that
-        # hash and compare equal to constructor-built constraints.
+        # Rows materialized from the kernel's ints must hash and
+        # compare equal to constructor-built constraints.
         constraint = Constraint.ge(4 * x() - 2 * y() + 6)
         variables = ("x", "y")
-        row = row_of_constraint(constraint, variables)
-        rebuilt = constraint_of_row(row, variables)
+        (row,) = flagged_rows(ConstraintSystem([constraint]), variables)
+        assert row == (False, (2, -1), 3)
+        rebuilt = Constraint.from_row(variables, row[1], row[2])
         assert rebuilt == constraint
         assert hash(rebuilt) == hash(constraint)
         assert rebuilt in ConstraintSystem([constraint])
+        # A row that is not yet canonical is canonicalized on the way in.
+        assert Constraint.from_row(variables, (4, -2), 6) == constraint
+
+    def test_equality_round_trip(self):
+        constraint = Constraint.eq(y(), 2 * x() + 1)
+        variables = ("x", "y")
+        rows = flagged_rows(ConstraintSystem([constraint]), variables)
+        assert rows == [(True, (2, -1), 1)]
+        assert materialize(rows, variables).constraints == (constraint,)
 
 
 class TestNormalizeRow:
@@ -76,6 +86,13 @@ class TestNormalizeRow:
     def test_coprime_rows_untouched(self):
         assert normalize_row((2, 3), 7) == ((2, 3), 7)
 
+    def test_equality_rows(self):
+        # Sign-normalized by the first nonzero coefficient, then the
+        # gcd; "0 = 0" is trivial, "0 = c" the contradiction "0 = 1".
+        assert normalize_row((0, -2), 4, equality=True) == ((0, 1), -2)
+        assert normalize_row((0, 0), 0, equality=True) is None
+        assert normalize_row((0, 0), -3, equality=True) == ((0, 0), 1)
+
 
 class TestSubstitution:
     def test_split_matches_inequalities(self):
@@ -84,7 +101,9 @@ class TestSubstitution:
         )
         variables = intern_variables(system)
         assert split_equalities(flagged_rows(system, variables)) == [
-            row_of_constraint(c, variables) for c in system.inequalities()
+            row[1:] for row in flagged_rows(
+                ConstraintSystem(system.inequalities()), variables
+            )
         ]
 
     def test_first_equality_solves(self):
