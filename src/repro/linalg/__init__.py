@@ -16,6 +16,9 @@ build rows and to view them.  The subpackage provides:
 - :mod:`repro.linalg.fourier_motzkin` — projection by Fourier–Motzkin
   elimination (the paper's workhorse, Section 4): ``eliminate_all`` and
   the Chernikov-tracked ``eliminate_all_tracked``.
+- :mod:`repro.linalg.dd` — double description: the lines and extreme
+  rays of a polyhedral cone, on ints, with no LP (the convex hull runs
+  on it).
 - :mod:`repro.linalg.simplex` — a two-phase exact simplex LP solver with
   dual values (used for the duality cross-checks and ablations).
 - :mod:`repro.linalg.polyhedron` — convex polyhedra in constraint form

@@ -12,10 +12,12 @@ run on the integer row engine of :mod:`repro.linalg.rows`:
 - :func:`eliminate_all` (dualize's ``w``, θ's ``σ``) substitutes away
   every variable an equality mentions — cheaper than combination, and
   it produces no spurious rows — then combines the rest pairwise;
-- :func:`eliminate_all_tracked` (projection and convex hull inside
-  inter-argument inference) combines with Chernikov ancestor pruning,
-  then tidies small results with the exact LP redundancy prune
-  :func:`_prune_with_lp`.
+- :func:`eliminate_all_tracked` (projection inside inter-argument
+  inference, and the convex hull of operands too large for double
+  description) combines with Chernikov ancestor pruning, then tidies
+  small results with the exact LP redundancy prune
+  :func:`_prune_with_lp`.  Its result contains the exact projection
+  but can be strictly larger (see that function).
 """
 
 from __future__ import annotations
@@ -71,9 +73,13 @@ def eliminate_all_tracked(system, variables, max_rows=600):
     Equalities are split into inequality pairs; every row carries the
     set of *original* row indices it was combined from, and after ``k``
     eliminations any row whose ancestor set exceeds ``k + 1`` rows is
-    redundant and dropped (Chernikov's rule).  This keeps the exact
-    projection while bounding the classic FM blow-up, which makes the
-    repeated convex hulls of inter-argument inference tractable.
+    dropped (Chernikov's rule).  This bounds the classic FM blow-up.
+    The result is sound — it contains the exact projection — but not
+    always exact: a combined row already present keeps its first
+    ancestor set and the copy's is lost, so the rule can later skip a
+    row the projection needs.  On the lifted hull systems of
+    inter-argument inference that dropped a facet in 2 of 514 corpus
+    hulls; no corpus projection is affected.
 
     Raises :class:`FMBlowupError` once the intermediate row count
     passes *max_rows* — callers choose a sound over-approximation

@@ -166,14 +166,13 @@ class LinearExpr:
         return total
 
     def rename(self, mapping):
-        """Rename variables via *mapping* (missing names unchanged)."""
-        return LinearExpr(
-            {
-                mapping.get(var, var): coeff
-                for var, coeff in self._coefficients.items()
-            },
-            self._constant,
-        )
+        """Rename variables via *mapping* (missing names unchanged);
+        the coefficients of variables renamed to one name add up."""
+        coefficients = {}
+        for var, coeff in self._coefficients.items():
+            name = mapping.get(var, var)
+            coefficients[name] = coefficients.get(name, 0) + coeff
+        return LinearExpr(coefficients, self._constant)
 
     def scale_to_integers(self):
         """Multiply by the positive lcm of denominators; returns expr."""

@@ -7,8 +7,10 @@ dimensions.  Operations:
 
 - ``meet`` — conjunction (used when composing rule bodies),
 - ``project`` — existential elimination via Fourier–Motzkin,
-- ``join`` — closed convex hull of the union (via the standard lifted
-  construction with mixing multipliers, projected by FM),
+- ``join`` — closed convex hull of the union, by double description
+  (:mod:`repro.linalg.dd`: operands to generators, their union back to
+  minimal rows), or for operands with too many generators by the
+  lifted construction with mixing multipliers, projected by FM,
 - ``widen`` — standard constraint-dropping widening so fixpoints
   terminate,
 - ``entails`` / ``equivalent`` — exact, via simplex.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 
 from repro.linalg.constraints import Constraint, ConstraintSystem, EQ, GE
+from repro.linalg.dd import cancel, cone_generators
 from repro.linalg.fourier_motzkin import (
     FMBlowupError,
     eliminate_all_tracked,
@@ -154,11 +157,13 @@ class Polyhedron:
     def project(self, keep_dimensions):
         """Existentially eliminate every dimension not in *keep*.
 
-        Uses history-tracked Fourier–Motzkin (Chernikov pruning) so the
-        projection stays exact without the classic row blow-up; should
-        the row budget still overflow, falls back to *forgetting* — a
-        sound over-approximation that simply drops every constraint
-        mentioning an eliminated variable.
+        Uses history-tracked Fourier–Motzkin (Chernikov pruning) to
+        avoid the classic row blow-up.  The result contains the exact
+        projection and can be strictly larger (see
+        :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`);
+        should the row budget still overflow, falls back to
+        *forgetting* — a sound over-approximation that simply drops
+        every constraint mentioning an eliminated variable.
         """
         keep = [d for d in self.dimensions if d in set(keep_dimensions)]
         to_eliminate = self.system.variables() - set(keep)
@@ -176,15 +181,14 @@ class Polyhedron:
         return Polyhedron(dimensions, self.system.rename(mapping))
 
     def join(self, other):
-        """Closed convex hull of the union — exact, via
-        :meth:`join_exact` with history-tracked FM.
+        """Closed convex hull of the union, via :meth:`join_exact`.
 
         Kept as the default because the fixpoint must *discover* new
         facet directions (e.g. ``arg2 >= arg1 + 1`` for a ``less``
         predicate arises only as the hull of successive iterates); the
-        cheaper :meth:`join_weak` cannot do that.  When the exact hull
-        overflows its row budget the weak join serves as the sound
-        fallback.
+        cheaper :meth:`join_weak` cannot do that.  When the lifted
+        construction overflows its row budget the weak join serves as
+        the sound fallback.
         """
         if self.dimensions != other.dimensions:
             raise ValueError("join requires identical dimension lists")
@@ -235,17 +239,50 @@ class Polyhedron:
     def join_exact(self, other):
         """Closed convex hull of the union (same dimension list).
 
-        Uses the lifted construction: a point x is in the hull iff
-        x = y1 + y2 with ``A1 y1 >= -b1*m1``, ``A2 y2 >= -b2*m2``,
-        ``m1 + m2 = 1``, ``m1, m2 >= 0`` — with ``m_i = 0`` the y_i
-        range over the recession cone, which makes the construction
-        exact for unbounded polyhedra.  The auxiliary variables are
-        eliminated by history-tracked Fourier–Motzkin (Chernikov
-        pruning), which keeps the projection exact without the classic
-        row blow-up.
+        By double description (:mod:`repro.linalg.dd`), with no
+        Fourier–Motzkin and no LP: each operand's homogenized cone
+        ``{(x, t) : A.x + b.t >= 0, E.x + f.t = 0, t >= 0}`` is
+        converted to its lines and extreme rays — an operand is empty
+        exactly when no generator has ``t > 0``, which sets its
+        emptiness cache — and the union of both generator sets is
+        converted back once, through the polar cone.  The polar's lines
+        are the hull's implicit equalities, emitted as ``>=`` pairs; its
+        rays are the facets, each once, so the result is minimal.  Rows
+        are canonical: each equality and facet is reduced modulo the
+        equalities (last dimensions first), and they come sorted, so the
+        result depends only on the hull's point set.
+
+        A conversion that passes :data:`~repro.linalg.dd.RAY_BUDGET`
+        rays stops, and :meth:`_lifted_join` computes the hull instead.
         """
         if self.dimensions != other.dimensions:
             raise ValueError("join requires identical dimension lists")
+        first = _cone_of(self)
+        if self._empty_cache:
+            return other.copy()
+        second = _cone_of(other)
+        if other._empty_cache:
+            return self.copy()
+        if first is None or second is None:
+            return self._lifted_join(other)
+        rows = _hull_rows(self.dimensions, first, second)
+        if rows is None:
+            return self._lifted_join(other)
+        result = Polyhedron(self.dimensions, rows)
+        result._empty_cache = False
+        return result
+
+    def _lifted_join(self, other):
+        """The closed convex hull by the lifted construction: a point x
+        is in the hull iff x = y1 + y2 with ``A1 y1 >= -b1*m1``,
+        ``A2 y2 >= -b2*m2``, ``m1 + m2 = 1``, ``m1, m2 >= 0`` — with
+        ``m_i = 0`` the y_i range over the recession cone, which makes
+        the construction exact for unbounded polyhedra.  The auxiliary
+        variables are eliminated by Chernikov-pruned Fourier–Motzkin,
+        whose result can be strictly larger than the hull (see
+        :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`):
+        the path for operands too large to convert to generators.
+        """
         if self.is_empty():
             return other.copy()
         if other.is_empty():
@@ -325,6 +362,93 @@ class Polyhedron:
 
     def __repr__(self):
         return "Polyhedron(%r, %r)" % (self.dimensions, self.system.constraints)
+
+
+def _cone_of(poly):
+    """The lines and extreme rays of *poly*'s homogenized cone over
+    ``(dimensions..., t)``; None past the ray budget or when *poly* is
+    already known to be empty.  Sets ``poly._empty_cache``: *poly* is
+    empty iff no ray has ``t > 0``."""
+    if poly._empty_cache:
+        return None
+    index = {d: i for i, d in enumerate(poly.dimensions)}
+    width = len(index) + 1
+    equalities = []
+    inequalities = [tuple(int(i == width - 1) for i in range(width))]
+    for constraint in poly.system:
+        vector = [0] * width
+        for var, c in constraint.terms:
+            vector[index[var]] = c
+        vector[-1] = constraint.const
+        if constraint.is_equality():
+            equalities.append(tuple(vector))
+        else:
+            inequalities.append(tuple(vector))
+    generators = cone_generators(equalities, inequalities, width)
+    if generators is None:
+        return None
+    lines, rays = generators
+    poly._empty_cache = not any(ray[-1] > 0 for ray in rays)
+    return lines, rays
+
+
+def _hull_rows(dimensions, first, second):
+    """The minimal rows of the hull of two nonempty polyhedra, given
+    their cones' generators; None past the ray budget.
+
+    The hull's cone is generated by the union of both generator sets;
+    its facets and implicit equalities are the rays and lines of the
+    polar cone.  Reduced modulo the equalities, whose pivots are
+    dimensions, the facet ``t >= 0`` (when it is one) is exactly
+    ``(0, ..., 0, 1)``: the trivially true row ``1 >= 0``, which the
+    polyhedron's system drops.
+    """
+    lines = list(dict.fromkeys(first[0] + second[0]))
+    rays = list(dict.fromkeys(first[1] + second[1]))
+    polar = cone_generators(lines, rays, len(dimensions) + 1)
+    if polar is None:
+        return None
+    equalities, facets = polar
+    basis = _echelon(equalities, len(dimensions))
+    facets = sorted(_reduce(facet, basis) for facet in facets)
+    rows = []
+    for _, equality in basis:
+        rows.append(_row_of(dimensions, equality))
+        rows.append(_row_of(dimensions, tuple(-c for c in equality)))
+    rows.extend(_row_of(dimensions, facet) for facet in facets)
+    return rows
+
+
+def _echelon(vectors, width):
+    """A reduced echelon basis of the span of the linearly independent
+    int *vectors*, as ``(pivot, vector)`` pairs sorted by pivot: each
+    pivot is the last nonzero coefficient among the first *width*
+    entries, positive in its own vector and zero in every other."""
+    basis = []
+    for vector in vectors:
+        vector = _reduce(vector, basis)
+        pivot = max(i for i in range(width) if vector[i])
+        if vector[pivot] < 0:
+            vector = tuple(-c for c in vector)
+        basis = [(p, cancel(e, e[pivot], vector, vector[pivot]))
+                 for p, e in basis]
+        basis.append((pivot, vector))
+    return sorted(basis)
+
+
+def _reduce(vector, basis):
+    """*vector* plus a combination of the *basis* vectors that zeroes
+    every pivot entry, times a positive factor, gcd-normalized."""
+    for pivot, row in basis:
+        vector = cancel(vector, vector[pivot], row, row[pivot])
+    return vector
+
+
+def _row_of(dimensions, vector):
+    """The row ``vector . (dimensions..., 1) >= 0``."""
+    return _row(
+        [(d, c) for d, c in zip(dimensions, vector) if c], vector[-1], GE
+    )
 
 
 def _forget(system, variables):

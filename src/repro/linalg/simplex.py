@@ -24,7 +24,6 @@ Variables are free unless listed in ``nonnegative`` (pass the string
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -38,7 +37,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
 class LPResult:
     """Outcome of an LP solve.
 
@@ -48,18 +46,47 @@ class LPResult:
     written (``expr >= 0`` / ``expr = 0``).  ``pivots`` counts the
     tableau pivots performed across both phases (solver-cost telemetry
     for the backend layer).
+
+    A solve leaves ``assignment`` and ``duals`` to be read off its
+    final tableau on first access: most callers (redundancy pruning,
+    emptiness, entailment) read only ``status`` and ``value``.
     """
 
-    status: str
-    value: Fraction = None
-    assignment: dict = None
-    duals: dict = None
-    pivots: int = 0
+    __slots__ = ("status", "value", "pivots", "_assignment", "_duals",
+                 "_tableau")
+
+    def __init__(self, status, value=None, assignment=None, duals=None,
+                 pivots=0):
+        self.status = status
+        self.value = value
+        self.pivots = pivots
+        self._assignment = assignment
+        self._duals = duals
+        self._tableau = None
+
+    @property
+    def assignment(self):
+        """``{variable: optimal value}``, or None without an optimum."""
+        if self._assignment is None and self._tableau is not None:
+            self._assignment = self._tableau._extract_assignment()
+        return self._assignment
+
+    @property
+    def duals(self):
+        """``{row index: dual multiplier}``, or None without an
+        optimum."""
+        if self._duals is None and self._tableau is not None:
+            self._duals = self._tableau._extract_duals()
+        return self._duals
 
     @property
     def is_optimal(self):
         """True when the solve reached an optimum."""
         return self.status == OPTIMAL
+
+    def __repr__(self):
+        return "LPResult(status=%r, value=%r, pivots=%r)" % (
+            self.status, self.value, self.pivots)
 
 
 def solve_lp(objective, constraints, sense="min", nonnegative=(),
@@ -404,46 +431,57 @@ class _Tableau:
             return LPResult(status=INFEASIBLE, pivots=self._pivots)
         self._drive_out_artificials()
 
-        costs, scale = self._phase2_costs()
-        status = self._run_simplex(costs, allow_artificial=False)
+        self._phase2 = self._phase2_costs()
+        status = self._run_simplex(self._phase2[0], allow_artificial=False)
         if status == UNBOUNDED:
             return LPResult(status=UNBOUNDED, pivots=self._pivots)
 
-        assignment = self._extract_assignment()
         terms, const = self._objective
+        values = self._values([var for var, _ in terms])
         value = Fraction(const)
-        for var, coeff in terms:
-            value += coeff * assignment[var]
-        duals = self._extract_duals(costs, scale)
-        return LPResult(
-            status=OPTIMAL, value=value, assignment=assignment, duals=duals,
-            pivots=self._pivots,
-        )
+        for (_, coeff), x in zip(terms, values):
+            value += coeff * x
+        result = LPResult(status=OPTIMAL, value=value, pivots=self._pivots)
+        result._tableau = self
+        return result
 
-    def _extract_assignment(self):
-        column_values = [Fraction(0)] * self._num_columns
-        for column, row in zip(self._basis, self._A):
-            column_values[column] = Fraction(row[-1], self._p)
-        assignment = {}
-        for var in self._variables:
+    def _values(self, variables):
+        """The optimal value of each of *variables*, as Fractions (a
+        nonbasic column is 0), mapped back from the shifted
+        coordinates of a *start* point."""
+        row_of = {column: r for r, column in enumerate(self._basis)}
+
+        def column_value(column):
+            r = row_of.get(column)
+            if r is None:
+                return Fraction(0)
+            return Fraction(self._A[r][-1], self._p)
+
+        values = []
+        for var in variables:
             plus, minus = self._var_columns[var]
-            value = column_values[plus]
+            value = column_value(plus)
             if minus is not None:
-                value -= column_values[minus]
-            assignment[var] = value
+                value -= column_value(minus)
+            values.append(value)
         if self._start is not None:
             shift, scale = self._start
-            assignment = {var: shift.get(var, 0) + value / scale
-                          for var, value in assignment.items()}
-        return assignment
+            values = [shift.get(var, 0) + value / scale
+                      for var, value in zip(variables, values)]
+        return values
 
-    def _extract_duals(self, costs, scale):
+    def _extract_assignment(self):
+        return dict(zip(self._variables, self._values(self._variables)))
+
+    def _extract_duals(self):
         """y_i = c_B . (B^-1 e_i), read from the artificial columns.
 
-        *costs* are the phase-2 costs times *scale*.  Adjusted for row
+        The phase-2 costs are scaled by a positive factor (see
+        :meth:`_phase2_costs`), divided out here.  Adjusted for row
         sign normalization and for sense=max (where the tableau
         optimizes the negated objective).
         """
+        costs, scale = self._phase2
         duals = {}
         factor = 1 if self._sense == "min" else -1
         basic_costs = [
@@ -456,4 +494,3 @@ class _Tableau:
             y = sum(cost * row[column] for cost, row in basic_costs)
             duals[i] = Fraction(factor * self._row_sign[i] * y, denominator)
         return duals
-

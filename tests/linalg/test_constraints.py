@@ -87,6 +87,16 @@ class TestOperations:
         constraint = Constraint.ge(x()).rename({"x": "z"})
         assert constraint.variables() == {"z"}
 
+    def test_rename_onto_one_name_adds_coefficients(self):
+        constraint = Constraint.ge(x() + 2 * y(), 3).rename({"y": "x"})
+        assert constraint == Constraint.ge(x(), 1)
+        assert constraint.satisfied_by({"x": 1})
+
+    def test_system_rename_onto_one_name(self):
+        system = ConstraintSystem([Constraint.eq(x() + y(), 4)])
+        renamed = system.rename({"y": "x"})
+        assert renamed.constraints == (Constraint.eq(x(), 2),)
+
 
 class TestConstraintSystem:
     def test_deduplication(self):

@@ -118,6 +118,14 @@ class TestOperations:
         expr = (x() + y()).rename({"x": "z"})
         assert expr.variables() == {"z", "y"}
 
+    def test_rename_onto_one_name_adds_coefficients(self):
+        expr = LinearExpr({"x": 1, "y": 2}, 5).rename({"y": "x"})
+        assert expr == LinearExpr({"x": 3}, 5)
+
+    def test_rename_cancelling_coefficients_drops_the_name(self):
+        expr = (x() - y()).rename({"x": "z", "y": "z"})
+        assert expr.is_constant()
+
     def test_scale_to_integers(self):
         expr = (x() / 2 + LinearExpr.of("y", Fraction(1, 3))).scale_to_integers()
         assert expr.coefficient("x") == 3
