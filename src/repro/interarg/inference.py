@@ -289,7 +289,8 @@ def _predicate_step(program, indicator, env, memo, settings):
 
 
 def _clause_polyhedron(clause, env, norm):
-    """Project one clause's size constraints onto its head dimensions."""
+    """Project one clause's size constraints onto its head dimensions;
+    an empty clause system projects to a contradiction row (no LP)."""
     _, arity = clause.indicator
     head_dims = tuple(arg_dimension(i) for i in range(1, arity + 1))
 
@@ -305,12 +306,12 @@ def _clause_polyhedron(clause, env, norm):
         constraints.extend(body_constraints)
     constraints.extend(variable_nonnegativity(atoms, norm))
 
-    big = Polyhedron(
+    projected = Polyhedron(
         _all_variables(constraints, head_dims), constraints
-    )
-    if big.is_empty():
+    ).project(head_dims)
+    if projected.system.has_contradiction_row():
         return bottom_polyhedron(clause.indicator)
-    return big.project(head_dims)
+    return projected
 
 
 def _literal_constraints(literal, env, norm):

@@ -13,9 +13,10 @@ build rows and to view them.  The subpackage provides:
 - :mod:`repro.linalg.rows` — the integer row engine every
   Fourier–Motzkin elimination runs on: substitution, pairwise
   combination, dominance pruning, and the greedy variable choice.
-- :mod:`repro.linalg.fourier_motzkin` — projection by Fourier–Motzkin
-  elimination (the paper's workhorse, Section 4): ``eliminate_all`` and
-  the Chernikov-tracked ``eliminate_all_tracked``.
+- :mod:`repro.linalg.fourier_motzkin` — exact projection by
+  Fourier–Motzkin elimination (the paper's workhorse, Section 4):
+  ``eliminate_all``, and ``eliminate_all_tracked``, the same
+  elimination tidied by an LP redundancy prune.
 - :mod:`repro.linalg.dd` — double description: the lines and extreme
   rays of a polyhedral cone, on ints, with no LP (the convex hull runs
   on it).

@@ -5,25 +5,28 @@ reduction by Fourier–Motzkin elimination ... a variable is eliminated by
 'cancelling' all positive occurrences with all negative occurrences,
 pairwise, creating new rows."
 
-Elimination preserves satisfiability and computes the exact projection
-of the solution set onto the remaining variables.  Both entry points
-run on the integer row engine of :mod:`repro.linalg.rows`:
+Elimination preserves satisfiability and computes the exact
+projection of the solution set onto the remaining variables.  Both
+entry points run the same greedy elimination on the integer row engine
+of :mod:`repro.linalg.rows`: every variable an equality mentions is
+substituted away first — cheaper than combination, and it produces no
+spurious rows — then the rest are combined pairwise, cheapest first,
+with per-step dominance pruning.  They differ only in what leaves:
 
-- :func:`eliminate_all` (dualize's ``w``, θ's ``σ``) substitutes away
-  every variable an equality mentions — cheaper than combination, and
-  it produces no spurious rows — then combines the rest pairwise;
+- :func:`eliminate_all` (dualize's ``w``, θ's ``σ``) returns the rows
+  as they stand, equalities kept;
 - :func:`eliminate_all_tracked` (projection inside inter-argument
   inference, and the convex hull of operands too large for double
-  description) combines with Chernikov ancestor pruning, then tidies
-  small results with the exact LP redundancy prune
-  :func:`_prune_with_lp`.  Its result contains the exact projection
-  but can be strictly larger (see that function).
+  description) enforces a row budget, returns pure ``>=`` rows after a
+  final dominance pass, and tidies small results with the exact LP
+  redundancy prune :func:`_prune_with_lp`; an empty projection of any
+  size comes out as the single row ``-1 >= 0``.
 """
 
 from __future__ import annotations
 
 from repro.errors import FMBlowupError
-from repro.linalg.constraints import ConstraintSystem
+from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.rows import (
     RowKernel,
     flagged_rows,
@@ -31,7 +34,6 @@ from repro.linalg.rows import (
     materialize,
     split_equalities,
     substitute_equalities,
-    tracked_project,
 )
 
 __all__ = [
@@ -52,6 +54,56 @@ def eliminate_all(system, variables, prune=True):
     *prune*, only the tightest row per linear part survives each
     combination.
     """
+    kernel, rows = _greedy(system, variables, prune=prune)
+    if rows is not None:
+        return materialize(rows, kernel.variables)
+    return kernel.to_system()
+
+
+def eliminate_all_tracked(system, variables, max_rows=600):
+    """The exact projection of *system* with *variables* eliminated, as
+    tidy pure ``>=`` rows.
+
+    Runs the greedy elimination of :func:`eliminate_all`, splits the
+    surviving equalities, and keeps the tightest row per linear part.
+    Results of 2 to 60 rows then go through the exact LP prune, so they
+    come out irredundant; larger ones get one feasibility LP.  An
+    empty projection comes out as the single row ``-1 >= 0``.
+
+    Raises :class:`FMBlowupError` once the row count after a
+    combination passes *max_rows* — callers choose a sound
+    over-approximation instead.  (The name is older than the single
+    elimination mode; ``bench/tracing.py`` hooks it by name.)
+    """
+    kernel, _ = _greedy(system, variables, max_rows=max_rows)
+    kernel._dominance()
+    result = kernel.to_system()
+    if len(result) <= 1:
+        return result
+    # The exact LP prune is quadratic in rows x simplex cost; only tidy
+    # results that are already small (the quadratic pass on a big
+    # system would dominate everything else).  A big one still costs
+    # one LP, since a conflict among kept variables leaves no constant
+    # row.  It runs on the input or the result, whichever has fewer
+    # rows: either is empty exactly when the other is, and the simplex
+    # cost grows fast with rows.
+    if len(result) <= 60:
+        return _prune_with_lp(result)
+    from repro.linalg.simplex import feasible_point
+
+    if feasible_point(list(min(system, result, key=len))) is None:
+        return _contradiction()
+    return result
+
+
+def _greedy(system, variables, prune=True, max_rows=None):
+    """The greedy elimination of *variables* from *system*.
+
+    Returns ``(kernel, rows)``.  When no variable is left to combine
+    after the substitutions, *rows* are the substituted flagged rows
+    (equalities kept) and *kernel* holds them split; otherwise *rows*
+    is None and *kernel* holds the combined rows.
+    """
     names = intern_variables(system)
     index = {var: j for j, var in enumerate(names)}
     remaining = {index[var] for var in variables if var in index}
@@ -59,45 +111,19 @@ def eliminate_all(system, variables, prune=True):
     kernel = RowKernel(names, split_equalities(rows))
     j = kernel.choose(remaining)
     if j is None:
-        return materialize(rows, names)
+        return kernel, rows
     while j is not None:
         kernel.eliminate(j, prune=prune)
+        if max_rows is not None and len(kernel) > max_rows:
+            raise FMBlowupError("elimination exceeded %d rows" % max_rows)
         remaining.discard(j)
         j = kernel.choose(remaining)
-    return kernel.to_system()
-
-
-def eliminate_all_tracked(system, variables, max_rows=600):
-    """Projection by pure-inequality FM with Chernikov ancestor pruning.
-
-    Equalities are split into inequality pairs; every row carries the
-    set of *original* row indices it was combined from, and after ``k``
-    eliminations any row whose ancestor set exceeds ``k + 1`` rows is
-    dropped (Chernikov's rule).  This bounds the classic FM blow-up.
-    The result is sound — it contains the exact projection — but not
-    always exact: a combined row already present keeps its first
-    ancestor set and the copy's is lost, so the rule can later skip a
-    row the projection needs.  On the lifted hull systems of
-    inter-argument inference that dropped a facet in 2 of 514 corpus
-    hulls; no corpus projection is affected.
-
-    Raises :class:`FMBlowupError` once the intermediate row count
-    passes *max_rows* — callers choose a sound over-approximation
-    instead.  A final dominance pass and, on results of 2 to 60
-    distinct rows, the exact LP prune yield a tidy result.
-    """
-    kernel = tracked_project(system, variables, max_rows=max_rows)
-    # The exact LP prune is quadratic in rows x simplex cost; only tidy
-    # results that are already small (the quadratic pass on a big
-    # system would dominate everything else).
-    small = 1 < len(set(kernel.rows)) <= 60
-    kernel._dominance()
-    result = kernel.to_system()
-    return _prune_with_lp(result) if small else result
+    return kernel, None
 
 
 def _prune_with_lp(system):
-    """Drop every inequality entailed by the others — one pass.
+    """Drop every inequality entailed by the others — one pass; an
+    empty system becomes the single row ``-1 >= 0``.
 
     Rows are tentatively removed in order; a candidate is tested
     against the rows still alive (removed rows stay removed, rows
@@ -109,13 +135,14 @@ def _prune_with_lp(system):
     subset of the rows, so each candidate LP starts from it
     (``start=x0``) and runs phase 2 only.  Entailment is a fact about
     the polyhedron, not the pivot path, so the kept rows are the same.
-    An infeasible system has no ``x0``: its candidates solve from
-    scratch.
+    No ``x0`` means no point at all: the system is the contradiction.
     """
     from repro.linalg.simplex import entails, feasible_point
 
     rows = list(system)
     start = feasible_point(rows)
+    if start is None:
+        return _contradiction()
     alive = [True] * len(rows)
     for position, candidate in enumerate(rows):
         if candidate.is_equality():
@@ -129,3 +156,8 @@ def _prune_with_lp(system):
     return ConstraintSystem(
         row for index, row in enumerate(rows) if alive[index]
     )
+
+
+def _contradiction():
+    """The empty projection, whatever the dimensions: ``-1 >= 0``."""
+    return ConstraintSystem([Constraint.from_row((), (), -1)])

@@ -6,7 +6,7 @@ vectors is over-approximated by a convex polyhedron over its argument
 dimensions.  Operations:
 
 - ``meet`` — conjunction (used when composing rule bodies),
-- ``project`` — existential elimination via Fourier–Motzkin,
+- ``project`` — existential elimination via exact Fourier–Motzkin,
 - ``join`` — closed convex hull of the union, by double description
   (:mod:`repro.linalg.dd`: operands to generators, their union back to
   minimal rows), or for operands with too many generators by the
@@ -157,19 +157,22 @@ class Polyhedron:
     def project(self, keep_dimensions):
         """Existentially eliminate every dimension not in *keep*.
 
-        Uses history-tracked Fourier–Motzkin (Chernikov pruning) to
-        avoid the classic row blow-up.  The result contains the exact
-        projection and can be strictly larger (see
-        :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`);
-        should the row budget still overflow, falls back to
-        *forgetting* — a sound over-approximation that simply drops
-        every constraint mentioning an eliminated variable.
+        The exact projection by Fourier–Motzkin
+        (:func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`),
+        which reduces an empty result to ``-1 >= 0``.  Should the
+        row budget overflow, falls back to *forgetting* — a sound
+        over-approximation that drops every constraint mentioning an
+        eliminated variable.  Forgetting rows can make an empty
+        polyhedron nonempty, so that path alone decides emptiness first,
+        by one LP.
         """
         keep = [d for d in self.dimensions if d in set(keep_dimensions)]
         to_eliminate = self.system.variables() - set(keep)
         try:
             system = eliminate_all_tracked(self.system, to_eliminate)
         except FMBlowupError:
+            if self.is_empty():
+                return Polyhedron.bottom(keep)
             system = _forget(self.system, to_eliminate)
         return Polyhedron(keep, system)
 
@@ -202,12 +205,16 @@ class Polyhedron:
     def join_weak(self, other):
         """An upper bound of the union: the *constraint-candidate* join.
 
-        Collects the linear parts of both polyhedra's constraints as
-        candidate facet directions and keeps, for each candidate
-        ``l``, the inequality ``l >= min(min_P1 l, min_P2 l)`` when
-        both minima exist.  The result contains the exact convex hull
-        (so it is a sound over-approximation for the fixpoint) but can
-        be strictly larger: it reuses existing facet directions only.
+        Collects the linear parts of both polyhedra's constraints and
+        every dimension's lower-bound direction ``d`` as candidate facet
+        directions and keeps, for each candidate ``l``, the inequality
+        ``l >= min(min_P1 l, min_P2 l)`` when both minima exist.  The
+        result contains the exact convex hull (so it is a sound
+        over-approximation for the fixpoint) but can be strictly larger:
+        it reuses existing facet directions only.  The dimension
+        directions keep every lower bound on a single dimension however
+        the operands are written: ``arg1 >= 1, arg2 = arg1 + 1`` names
+        no ``arg2`` row, yet still yields ``arg2 >= 2``.
         Cost: two small LPs per candidate, no Fourier–Motzkin at all.
         Used by the ablation benchmarks.
         """
@@ -224,6 +231,8 @@ class Polyhedron:
         for system in (self.system, other.system):
             for constraint in system.inequalities():
                 candidates[LinearExpr(dict(constraint.terms))] = None
+        for dimension in self.dimensions:
+            candidates.setdefault(LinearExpr.of(dimension))
         kept = []
         for linear in candidates:
             first = solve_lp(linear, self.system)
@@ -278,9 +287,8 @@ class Polyhedron:
         ``A2 y2 >= -b2*m2``, ``m1 + m2 = 1``, ``m1, m2 >= 0`` — with
         ``m_i = 0`` the y_i range over the recession cone, which makes
         the construction exact for unbounded polyhedra.  The auxiliary
-        variables are eliminated by Chernikov-pruned Fourier–Motzkin,
-        whose result can be strictly larger than the hull (see
-        :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`):
+        variables are eliminated by exact Fourier–Motzkin
+        (:func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`):
         the path for operands too large to convert to generators.
         """
         if self.is_empty():

@@ -20,8 +20,7 @@ machine-int arithmetic, with one implementation of each piece:
   mentioning the variable is solved for it and substituted everywhere
   else;
 - **combination** — :meth:`RowKernel.eliminate` pairs every positive
-  occurrence with every negative one over pure ``>=`` rows, optionally
-  carrying Chernikov ancestor sets as int bitmasks;
+  occurrence with every negative one over pure ``>=`` rows;
 - **dominance** — :meth:`RowKernel._dominance` keeps the tightest row
   per linear part;
 - **greedy choice** — equalities first (:func:`substitute_equalities`,
@@ -31,11 +30,12 @@ machine-int arithmetic, with one implementation of each piece:
 
 Every caller hands pure ``>=`` rows to :class:`RowKernel`, so the
 combination loop never inspects a relation:
-:func:`~repro.linalg.fourier_motzkin.eliminate_all` after a greedy
-substitution prefix, the ``fm`` backend's :class:`StagedEliminator`
-after a ``repr``-order one (keeping one snapshot per stage for the
-witness), and :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`
-with every equality split up front (Chernikov-tracked).
+:func:`~repro.linalg.fourier_motzkin.eliminate_all` and
+:func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked` after a
+greedy substitution prefix, the ``fm`` backend's
+:class:`StagedEliminator` after a ``repr``-order one (keeping one
+snapshot per stage for the witness).  There is one combination mode:
+every elimination is exact.
 
 Results leave as :meth:`Constraint.from_row` over the surviving
 integer rows; no rational arithmetic happens on the way in or out.
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.errors import FMBlowupError
 from repro.linalg.constraints import (
     Constraint,
     ConstraintSystem,
@@ -62,7 +61,6 @@ from repro.obs import METRICS
 __all__ = [
     "RowKernel",
     "StagedEliminator",
-    "FMBlowupError",
 ]
 
 
@@ -193,35 +191,19 @@ def substitute_equalities(rows, remaining):
 
 
 class RowKernel:
-    """A pure-inequality FM workspace over dense integer rows.
+    """A pure-inequality FM workspace over dense integer rows."""
 
-    ``histories`` (int bitmasks over original row indices) are carried
-    only when *track* is set — the Chernikov-pruned projection of
-    :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`.
-    """
+    __slots__ = ("variables", "index", "reprs", "rows", "pos", "neg")
 
-    __slots__ = ("variables", "index", "reprs", "rows", "histories",
-                 "pos", "neg")
-
-    def __init__(self, variables, rows, histories=None):
+    def __init__(self, variables, rows):
         self.variables = tuple(variables)
         self.index = {var: i for i, var in enumerate(self.variables)}
         self.reprs = [repr(var) for var in self.variables]
         self.rows = rows
-        self.histories = histories
         self.pos = [0] * len(self.variables)
         self.neg = [0] * len(self.variables)
         for coeffs, _ in rows:
             self._count(coeffs, 1)
-
-    @classmethod
-    def from_system(cls, system, track=False):
-        """Intern *system* (equalities split into inequality pairs —
-        exactly ``system.inequalities()`` — preserving row order)."""
-        variables = intern_variables(system)
-        rows = split_equalities(flagged_rows(system, variables))
-        histories = [1 << p for p in range(len(rows))] if track else None
-        return cls(variables, rows, histories)
 
     def __len__(self):
         return len(self.rows)
@@ -255,57 +237,41 @@ class RowKernel:
 
     # -- elimination -----------------------------------------------------------
 
-    def eliminate(self, j, chernikov_limit=None, prune=True):
+    def eliminate(self, j, prune=True):
         """Eliminate variable index *j* by pairwise combination.
 
         Positive rows pair with negative rows in row order, combined
         rows are gcd-normalized, trivial rows and duplicates are
-        dropped (with tracked histories, a pair whose ancestor set
-        exceeds *chernikov_limit* is skipped), and with *prune* the
-        tightest row per linear part survives (first-occurrence order).
+        dropped, and with *prune* the tightest row per linear part
+        survives (first-occurrence order).
         """
-        track = self.histories is not None
         positives = []
         negatives = []
         kept = []
-        kept_hist = [] if track else None
         seen = set()
-        for position, row in enumerate(self.rows):
+        for row in self.rows:
             coefficient = row[0][j]
-            history = self.histories[position] if track else None
             if coefficient > 0:
-                positives.append((row, history))
+                positives.append(row)
             elif coefficient < 0:
-                negatives.append((row, history))
-            elif track:
-                # The tracked loop keeps duplicates (with their own
-                # histories); the dominance filter collapses them.
-                kept.append(row)
-                kept_hist.append(history)
-                seen.add(row)
+                negatives.append(row)
             elif row in seen:
-                # Untracked pass-through rows dedup on insertion, the
-                # way ConstraintSystem.add does on the object path.
+                # Pass-through rows dedup on insertion, the way
+                # ConstraintSystem.add does on the object path.
                 self._count(row[0], -1)
             else:
                 kept.append(row)
                 seen.add(row)
         # Rows containing the variable leave the workspace.
-        for row, _ in positives:
+        for row in positives:
             self._count(row[0], -1)
-        for row, _ in negatives:
+        for row in negatives:
             self._count(row[0], -1)
         width = range(len(self.variables))
         generated = 0
-        chernikov_pruned = 0
-        for (pcoeffs, pconst), phistory in positives:
+        for pcoeffs, pconst in positives:
             a = pcoeffs[j]
-            for (ncoeffs, nconst), nhistory in negatives:
-                if track:
-                    history = phistory | nhistory
-                    if history.bit_count() > chernikov_limit:
-                        chernikov_pruned += 1
-                        continue  # Chernikov: provably redundant
+            for ncoeffs, nconst in negatives:
                 b = -ncoeffs[j]
                 combined = normalize_row(
                     tuple(b * pcoeffs[i] + a * ncoeffs[i] for i in width),
@@ -317,21 +283,14 @@ class RowKernel:
                 kept.append(combined)
                 generated += 1
                 self._count(combined[0], 1)
-                if track:
-                    kept_hist.append(history)
 
         self.rows = kept
-        self.histories = kept_hist
         dominance_pruned = 0
         if prune:
             self._dominance()
             dominance_pruned = len(kept) - len(self.rows)
         if METRICS.enabled:
             METRICS.counter("fm.rows.generated").inc(generated)
-            if chernikov_pruned:
-                METRICS.counter("fm.rows.pruned.chernikov").inc(
-                    chernikov_pruned
-                )
             if dominance_pruned:
                 METRICS.counter("fm.rows.pruned.dominance").inc(
                     dominance_pruned
@@ -352,8 +311,6 @@ class RowKernel:
             if const < rows[current][1]:
                 best[coeffs] = position
         self.rows = [rows[p] for p in best.values()]
-        if self.histories is not None:
-            self.histories = [self.histories[p] for p in best.values()]
 
     # -- boundary --------------------------------------------------------------
 
@@ -364,33 +321,6 @@ class RowKernel:
             Constraint.from_row(self.variables, coeffs, const)
             for coeffs, const in self.rows
         )
-
-
-def tracked_project(system, variables, max_rows=600):
-    """The Chernikov-pruned projection: the tracked :class:`RowKernel`
-    after eliminating every present variable of *variables*.
-
-    The caller applies the final dominance pass and materializes.
-    Raises :class:`FMBlowupError` when the intermediate row count
-    passes *max_rows*.
-    """
-    kernel = RowKernel.from_system(system, track=True)
-    remaining = {
-        kernel.index[var] for var in variables if var in kernel.index
-    }
-    eliminated = 0
-    while remaining:
-        j = kernel.choose(remaining)
-        if j is None:
-            break
-        remaining.discard(j)
-        eliminated += 1
-        kernel.eliminate(j, chernikov_limit=eliminated + 1)
-        if max_rows is not None and len(kernel) > max_rows:
-            raise FMBlowupError(
-                "tracked elimination exceeded %d rows" % max_rows
-            )
-    return kernel
 
 
 class StagedEliminator:

@@ -12,6 +12,7 @@ import pytest
 from repro.lp import parse_program
 from repro.linalg.constraints import Constraint
 from repro.linalg.linexpr import LinearExpr
+from repro.linalg.polyhedron import Polyhedron
 from repro.sizes.size_equations import arg_dimension
 from repro.interarg import (
     InferenceSettings,
@@ -191,6 +192,28 @@ class TestSettings:
         assert poly.contains_point({arg_dimension(1): 12345})
 
 
+class TestWeakJoin:
+    FLATTEN = """
+        append([], Ys, Ys).
+        append([X|Xs], Ys, [X|Zs]) :- append(Xs, Ys, Zs).
+        flatten(leaf(X), [X]).
+        flatten(node(L, R), F) :- flatten(L, FL), flatten(R, FR),
+                                  append(FL, FR, F).
+    """
+
+    def test_flatten_keeps_the_list_bound(self):
+        """The leaf clause projects to ``arg1 >= 1, arg2 = arg1 + 1``,
+        which names no ``arg2`` row; the weak join still finds the
+        flattened list's bound ``arg2 >= 2``."""
+        env = infer_interargument_constraints(
+            parse_program(self.FLATTEN), "structural",
+            settings=InferenceSettings(join_strategy="weak"),
+        )
+        poly = env.get(("flatten", 2))
+        assert poly.entails_constraint(Constraint.ge(dim(2), 2))
+        assert poly.entails_constraint(Constraint.ge(dim(1), 1))
+
+
 class TestWideArity:
     """Predicates of arity 10 or more: ``("arg", 10)`` sorts before
     ``("arg", 2)`` by ``repr``, which once made clause polyhedra
@@ -215,6 +238,23 @@ class TestWideArity:
             arg_dimension(i) for i in range(1, 11)
         ]
         assert poly.contains_point({arg_dimension(i): 1 for i in range(1, 11)})
+
+    def test_wide8_infers_equal_arguments(self):
+        """``r(s(X1), ..., s(X8)) :- r(X1, ..., X8).`` keeps every
+        argument equal: ``arg1 = ... = arg8, arg1 >= 0``."""
+        source = "r(%s).\nr(%s) :- r(%s).\n" % (
+            ", ".join("0" for _ in range(8)),
+            ", ".join("s(X%d)" % i for i in range(8)),
+            ", ".join("X%d" % i for i in range(8)),
+        )
+        env = infer_interargument_constraints(
+            parse_program(source), "structural"
+        )
+        poly = env.get(("r", 8))
+        want = [Constraint.ge(dim(1))] + [
+            Constraint.eq(dim(i), dim(1)) for i in range(2, 9)
+        ]
+        assert poly.equivalent(Polyhedron(poly.dimensions, want))
 
     def test_arity_ten_recursion_is_proved(self):
         from repro.core import analyze_program

@@ -2,7 +2,8 @@
 
 Single-variable elimination and projection onto kept variables are
 ``eliminate_all`` calls; the redundancy pruning is the final dominance
-pass of ``eliminate_all_tracked`` and the exact ``_prune_with_lp``.
+pass of ``eliminate_all_tracked`` and the exact ``_prune_with_lp``,
+which also reduces an empty system to ``-1 >= 0``.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from repro.linalg.fourier_motzkin import (
     eliminate_all,
     eliminate_all_tracked,
 )
+from repro.linalg import simplex
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.simplex import is_feasible
 
@@ -136,6 +138,29 @@ class TestPruneRedundant:
         assert len(result) == 2
 
 
+    def test_lp_prune_of_empty_system_is_one_lp(self, monkeypatch):
+        # x >= 1, y >= x, y <= 0: the first LP finds no point, and no
+        # candidate is solved after it.
+        solves = []
+        solve = simplex._Tableau.solve
+
+        def counted(tableau):
+            solves.append(tableau)
+            return solve(tableau)
+
+        monkeypatch.setattr(simplex._Tableau, "solve", counted)
+        system = ConstraintSystem(
+            [
+                Constraint.ge(x(), 1),
+                Constraint.ge(y(), x()),
+                Constraint.le(y(), 0),
+            ]
+        )
+        result = _prune_with_lp(system)
+        assert [str(row) for row in result] == ["- 1 >= 0"]
+        assert len(solves) == 1
+
+
 class TestTrackedElimination:
     def test_matches_untracked_projection(self):
         system = ConstraintSystem(
@@ -161,6 +186,24 @@ class TestTrackedElimination:
         result = eliminate_all_tracked(system, ["y"])
         assert result.satisfied_by({"x": 2})
         assert not result.satisfied_by({"x": 3})
+
+    def test_empty_projection_is_contradiction(self):
+        # y = x + 1 and y <= x: substitution leaves 1 <= 0.
+        system = ConstraintSystem(
+            [Constraint.eq(y(), x() + 1), Constraint.le(y(), x()),
+             Constraint.ge(x(), 0)]
+        )
+        result = eliminate_all_tracked(system, ["y"])
+        assert [str(row) for row in result] == ["- 1 >= 0"]
+
+    def test_equalities_leave_as_inequality_pairs(self):
+        system = ConstraintSystem(
+            [Constraint.eq(y(), 2 * x()), Constraint.eq(z(), y() + 1)]
+        )
+        result = eliminate_all_tracked(system, ["y"])
+        assert not any(row.is_equality() for row in result)
+        assert result.satisfied_by({"x": 1, "z": 3})
+        assert not result.satisfied_by({"x": 1, "z": 4})
 
     def test_row_budget_raises(self):
         import itertools

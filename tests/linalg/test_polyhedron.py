@@ -90,6 +90,44 @@ class TestMeetProject:
         assert projected.contains_point({"a": 3})
         assert not projected.contains_point({"a": 2})
 
+    def test_project_of_empty_system_is_contradiction(self):
+        poly = make([
+            Constraint.ge(a(), b() + 1), Constraint.ge(b(), a()),
+            Constraint.ge(a()),
+        ])
+        projected = poly.project(("a",))
+        assert [str(row) for row in projected.system] == ["- 1 >= 0"]
+        assert projected.is_empty()
+
+    def test_project_over_budget_decides_emptiness(self, monkeypatch):
+        # Past the row budget the projection forgets every row that
+        # mentions b, which would leave the nonempty 0 <= a <= 5; the
+        # one emptiness LP on that path keeps it empty.
+        from functools import partial
+
+        from repro.linalg import polyhedron
+
+        monkeypatch.setattr(
+            polyhedron, "eliminate_all_tracked",
+            partial(polyhedron.eliminate_all_tracked, max_rows=1),
+        )
+        empty = make([
+            Constraint.ge(a(), b() + 1), Constraint.ge(b(), a()),
+            Constraint.ge(a()), Constraint.le(a(), 5),
+        ])
+        projected = empty.project(("a",))
+        assert projected.dimensions == ("a",)
+        assert projected.is_empty()
+        assert projected.system.has_contradiction_row()
+        nonempty = make([
+            Constraint.ge(a(), b()), Constraint.ge(b(), a()),
+            Constraint.ge(a()), Constraint.le(a(), 5),
+        ])
+        forgotten = nonempty.project(("a",))
+        assert [str(row) for row in forgotten.system] == [
+            "a >= 0", "- a + 5 >= 0",
+        ]
+
     def test_rename(self):
         poly = make([Constraint.ge(a(), 1)]).rename({"a": "z"})
         assert "z" in poly.dimensions

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.linalg.constraints import Constraint, ConstraintSystem, EQ, GE
-from repro.linalg.fourier_motzkin import FMBlowupError
+from repro.linalg.fourier_motzkin import FMBlowupError, eliminate_all_tracked
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.rows import (
     RowKernel,
@@ -17,8 +17,9 @@ from repro.linalg.rows import (
     split_equalities,
     substitute,
     substitute_equalities,
-    tracked_project,
 )
+
+from tests.property.fm_oracle import check_projection
 
 
 def x():
@@ -155,9 +156,11 @@ class TestSubstitution:
 
 
 class TestRowKernel:
-    def make(self, constraints, track=False):
-        return RowKernel.from_system(
-            ConstraintSystem(constraints), track=track
+    def make(self, constraints):
+        system = ConstraintSystem(constraints)
+        variables = intern_variables(system)
+        return RowKernel(
+            variables, split_equalities(flagged_rows(system, variables))
         )
 
     def test_counters_match_rows(self):
@@ -167,10 +170,10 @@ class TestRowKernel:
         assert kernel.pos == [1, 1]
         assert kernel.neg == [0, 1]
 
-    def test_equalities_split_with_positional_histories(self):
-        kernel = self.make([Constraint.eq(x(), y())], track=True)
-        assert len(kernel) == 2
-        assert kernel.histories == [1, 2]
+    def test_equalities_split_into_pairs(self):
+        kernel = self.make([Constraint.eq(x(), y())])
+        assert kernel.rows == [((1, -1), 0), ((-1, 1), 0)]
+        assert kernel.pos == kernel.neg == [1, 1]
 
     def test_choose_prefers_fewest_combinations(self):
         # x: 2 pos x 1 neg = 2 combinations; y: 1 x 1 = 1.
@@ -219,6 +222,8 @@ class TestRowKernel:
 
 
 class TestTrackedProject:
+    """The projection :func:`eliminate_all_tracked` runs on the kernel."""
+
     def test_projection_is_exact(self):
         system = ConstraintSystem(
             [
@@ -227,10 +232,9 @@ class TestTrackedProject:
                 Constraint.le(z(), 4),
             ]
         )
-        result = tracked_project(system, {"y", "z"}).to_system()
-        assert result.variables() == {"x"}
-        assert result.satisfied_by({"x": 4})
-        assert not result.satisfied_by({"x": 5})
+        result = eliminate_all_tracked(system, {"y", "z"})
+        check_projection(system, {"y", "z"}, result)
+        assert [str(row) for row in result] == ["- x + 4 >= 0"]
 
     def test_blowup_raises(self):
         rows = []
@@ -239,7 +243,8 @@ class TestTrackedProject:
             rows.append(Constraint.ge(i * x() + 7 - LinearExpr.of("e")))
         system = ConstraintSystem(rows)
         with pytest.raises(FMBlowupError):
-            tracked_project(system, {"e"}, max_rows=3)
+            eliminate_all_tracked(system, {"e"}, max_rows=3)
+        check_projection(system, {"e"}, eliminate_all_tracked(system, {"e"}))
 
 
 class TestStagedEliminator:

@@ -6,24 +6,27 @@ of :mod:`repro.linalg.rows`: Gaussian substitution over ``Fraction``
 expressions, pairwise combination on
 :class:`~repro.linalg.constraints.Constraint` objects, the greedy
 elimination cost, dominance pruning keyed on
-:class:`~repro.linalg.linexpr.LinearExpr` linear parts, tracked
-elimination with frozenset Chernikov ancestors, and the Fraction
-interval witness.  The property tests in ``test_kernel_props.py``
-require the engine to agree with it byte for byte — the same rows, in
-the same canonical form, in the same insertion order.
+:class:`~repro.linalg.linexpr.LinearExpr` linear parts, and the
+Fraction interval witness.  The property tests in
+``test_kernel_props.py`` require the engine to agree with it byte for
+byte — the same rows, in the same canonical form, in the same
+insertion order.  The tidy projection of ``eliminate_all_tracked``
+must also be the oracle elimination's point set, irredundant
+(:func:`check_projection`).
 
 The oracle shares no code with the engine it checks: it imports
 nothing from :mod:`repro.linalg.fourier_motzkin` or
 :mod:`repro.linalg.rows`, and its LP redundancy prune is the simplex
 oracle's :func:`~tests.property.simplex_oracle.oracle_prune` (same kept
-rows as the library's, by ``test_simplex_props.py``).
+rows as the library's on nonempty systems, by
+``test_simplex_props.py``).
 """
 
 from fractions import Fraction
 
-from repro.errors import FMBlowupError
 from repro.linalg.constraints import Constraint, ConstraintSystem, GE
 from repro.linalg.linexpr import LinearExpr
+from repro.linalg.simplex import entails, is_feasible
 
 from tests.property.simplex_oracle import oracle_prune
 
@@ -160,94 +163,45 @@ def prune_redundant(system, use_lp=False):
     return oracle_prune(pruned)
 
 
-def oracle_eliminate_all_tracked(system, variables, max_rows=600):
+def oracle_project(system, variables):
     """:func:`repro.linalg.fourier_motzkin.eliminate_all_tracked` on
-    objects."""
-    result = _reference_tracked(system, variables, max_rows)
-    if 1 < len(result) <= 60:
-        return prune_redundant(result, use_lp=True)
-    return prune_redundant(result)
+    objects: :func:`oracle_eliminate_all`, its equalities split in
+    place, the dominance pass, and — on 2 rows or more — ``-1 >= 0``
+    for an empty result (decided on the input past 60 rows), else the
+    LP prune up to 60 rows."""
+    projected = oracle_eliminate_all(system, variables)
+    split = prune_redundant(ConstraintSystem(projected.inequalities()))
+    if len(split) <= 1:
+        return split
+    if not is_feasible(split if len(split) <= 60 else system):
+        return ConstraintSystem([Constraint(LinearExpr.constant(-1), GE)])
+    return split if len(split) > 60 else oracle_prune(split)
 
 
-def _reference_tracked(system, variables, max_rows):
-    """The object-pipeline tracked elimination (differential baseline)."""
-    rows = []
-    for index, constraint in enumerate(system.inequalities()):
-        rows.append((constraint, frozenset((index,))))
-
-    remaining = set(variables)
-    eliminated = 0
-    while remaining:
-        present = set()
-        for constraint, _ in rows:
-            present |= constraint.variables() & remaining
-        if not present:
-            break
-        var = min(
-            present, key=lambda v: _tracked_cost(rows, v)
-        )
-        remaining.discard(var)
-        eliminated += 1
-        rows = _tracked_step(rows, var, eliminated)
-        if max_rows is not None and len(rows) > max_rows:
-            raise FMBlowupError(
-                "tracked elimination exceeded %d rows" % max_rows
-            )
-
-    return ConstraintSystem(constraint for constraint, _ in rows)
-
-
-def _tracked_cost(rows, var):
-    positives = negatives = 0
-    for constraint, _ in rows:
-        coeff = constraint.expr.coefficient(var)
-        if coeff > 0:
-            positives += 1
-        elif coeff < 0:
-            negatives += 1
-    return (positives * negatives, repr(var))
-
-
-def _tracked_step(rows, var, eliminated):
-    positives = []
-    negatives = []
-    kept = []
-    for row in rows:
-        coeff = row[0].expr.coefficient(var)
-        if coeff > 0:
-            positives.append(row)
-        elif coeff < 0:
-            negatives.append(row)
-        else:
-            kept.append(row)
-    limit = eliminated + 1
-    seen = {constraint for constraint, _ in kept}
-    for pos, pos_history in positives:
-        pos_coeff = pos.expr.coefficient(var)
-        for neg, neg_history in negatives:
-            history = pos_history | neg_history
-            if len(history) > limit:
-                continue  # Chernikov: provably redundant
-            neg_coeff = neg.expr.coefficient(var)
-            combined = Constraint(
-                pos.expr * (-neg_coeff) + neg.expr * pos_coeff, GE
-            )
-            if combined.is_trivial() or combined in seen:
-                continue
-            seen.add(combined)
-            kept.append((combined, history))
-    return _dominance_filter(kept)
-
-
-def _dominance_filter(rows):
-    """Keep only the tightest row per linear part (cheap pruning)."""
-    best = {}
-    for constraint, history in rows:
-        linear = constraint.expr - LinearExpr.constant(constraint.expr.const)
-        current = best.get(linear)
-        if current is None or constraint.expr.const < current[0].expr.const:
-            best[linear] = (constraint, history)
-    return list(best.values())
+def check_projection(system, variables, result):
+    """Assert that *result* is the projection of *system* with
+    *variables* eliminated, as
+    :func:`repro.linalg.fourier_motzkin.eliminate_all_tracked` returns
+    it: pure ``>=`` rows over the kept variables; an empty projection
+    is the single row ``-1 >= 0``; up to 60 rows (the range of the
+    library's LP prune), the point set of :func:`oracle_eliminate_all`
+    plus :func:`prune_redundant` with the LP, with no row entailed by
+    the others; past 60, the oracle's own rows."""
+    projected = oracle_eliminate_all(system, variables)
+    rows = list(result)
+    assert not any(row.is_equality() for row in rows)
+    assert not result.variables() & set(variables)
+    if not is_feasible(projected):
+        assert rows == [Constraint(LinearExpr.constant(-1), GE)]
+        return
+    if len(rows) > 60:
+        split = ConstraintSystem(projected.inequalities())
+        assert set(rows) == set(prune_redundant(split))
+        return
+    want = list(prune_redundant(projected, use_lp=True))
+    assert all(entails(rows, row) for row in want)
+    assert all(entails(want, row) for row in rows)
+    assert len(oracle_prune(result)) == len(rows)
 
 
 def oracle_feasible_point(system, prune=True):

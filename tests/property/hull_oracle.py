@@ -7,11 +7,11 @@
 
 for nonempty ``P1``, ``P2`` (with ``m_i = 0`` the ``y_i`` range over
 the recession cone, which keeps the construction exact for unbounded
-operands).  The oracle eliminates every auxiliary variable by
-*untracked* Fourier–Motzkin — exact, with no Chernikov pruning — one
-variable at a time (an equality's variable first, else the fewest
-positive × negative occurrences), and tidies each step's result with
-the LP redundancy prune, which keeps the untracked elimination small.
+operands).  The oracle eliminates every auxiliary variable by exact
+Fourier–Motzkin one variable at a time (an equality's variable first,
+else the fewest positive × negative occurrences), and tidies each
+step's result with the LP redundancy prune, which keeps the
+elimination small.
 
 It shares no code with the double-description hull of
 :meth:`repro.linalg.polyhedron.Polyhedron.join_exact`: the lifted

@@ -28,8 +28,8 @@ def oracle_solve(objective, constraints, sense="min", nonnegative=()):
 
 def oracle_prune(system):
     """:func:`repro.linalg.fourier_motzkin._prune_with_lp` without a
-    start point: drop every inequality entailed by the rows still
-    alive, in order."""
+    start point, and without its ``-1 >= 0`` for an empty system: drop
+    every inequality entailed by the rows still alive, in order."""
     rows = list(system)
     alive = [True] * len(rows)
     for position, candidate in enumerate(rows):

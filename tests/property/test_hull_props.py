@@ -225,9 +225,10 @@ def test_hull_rows_are_canonical():
 
 
 def test_hull_keeps_the_facet_chernikov_pruning_drops():
-    """A corpus hull that the Chernikov-pruned lifted construction
-    over-approximates: the exact hull has the facet
-    ``-x1 + 3*x2 - x3 - 1 >= 0``."""
+    """A corpus hull that the lifted construction once
+    over-approximated, when its projection pruned rows by Chernikov's
+    rule: the exact hull has the facet ``-x1 + 3*x2 - x3 - 1 >= 0``,
+    and both hull paths keep it."""
     x1, x2, x3 = (LinearExpr.of(name) for name in ("x1", "x2", "x3"))
     dimensions = ("x1", "x2", "x3")
     a = Polyhedron(dimensions, [
@@ -240,10 +241,11 @@ def test_hull_keeps_the_facet_chernikov_pruning_drops():
         Constraint.ge(x3, 5),
         Constraint.ge(x1 + x2 - x3 + 3),
     ])
-    hull = a.join_exact(b)
-    assert hull.entails_constraint(Constraint.ge(-x1 + 3 * x2 - x3 - 1))
     want = oracle_hull(a, b)
-    assert hull.entails(want) and want.entails(hull)
+    facet = Constraint.ge(-x1 + 3 * x2 - x3 - 1)
+    for hull in (a.join_exact(b), a._lifted_join(b)):
+        assert hull.entails_constraint(facet)
+        assert hull.entails(want) and want.entails(hull)
 
 
 def test_box_past_the_ray_budget_takes_the_lifted_path(monkeypatch):

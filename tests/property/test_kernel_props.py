@@ -9,6 +9,9 @@ canonical form, in the same insertion order.  These tests compare
 is substituted away so ``=`` rows survive) and on systems the analysis
 really builds — lifted convex hulls and the dualized Eq. 8 pairs of
 ``perm`` — and the ``fm`` backend's verdicts and witnesses on top.
+The tidy projection of ``eliminate_all_tracked`` (infeasible inputs
+included) must in addition be the oracle elimination's point set,
+irredundant, and ``-1 >= 0`` when empty.
 """
 
 from unittest import mock
@@ -19,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core import AnalyzerSettings, TerminationAnalyzer, clear_caches
 from repro.core import dual
-from repro.errors import FMBlowupError
 from repro.linalg.constraints import Constraint, ConstraintSystem, EQ
 from repro.linalg.fourier_motzkin import (
     eliminate_all,
@@ -31,9 +33,10 @@ from repro.solve import get_backend
 
 from benchmarks.test_bench_kernel import hull_lift_workload
 from tests.property.fm_oracle import (
+    check_projection,
     oracle_eliminate_all,
-    oracle_eliminate_all_tracked,
     oracle_feasible_point,
+    oracle_project,
 )
 from tests.property.strategies import (
     constraint_systems,
@@ -137,13 +140,13 @@ X, Y = LinearExpr.of("x"), LinearExpr.of("y")
 
 # Dominated rows and no target present: the final dominance pass fixes
 # which rows survive and in what order — ahead of the LP prune (three
-# rows), and in its place past 60 rows.
+# rows), and in its place past 60 rows (61 after dominance).
 DOMINATED = ConstraintSystem(
     [Constraint.ge(X, 1), Constraint.ge(Y), Constraint.ge(X, 2)]
 )
 DOMINATED_WIDE = ConstraintSystem(
     Constraint.ge(LinearExpr.of("v%d" % i), bound)
-    for i in range(31) for bound in (1, 2)
+    for i in range(61) for bound in (1, 2)
 )
 
 # Splitting the contradiction "0 = 1" must leave no trivially true
@@ -156,27 +159,42 @@ CONTRADICTION = ConstraintSystem([
 ])
 
 
+# Infeasible inputs: the projection is the single row "-1 >= 0",
+# whether the contradiction survives elimination as a row over kept
+# variables (x >= 1 and x <= 0) or comes out of it.
+EMPTY_KEPT = ConstraintSystem(
+    [Constraint.ge(X, 1), Constraint.le(X, 0), Constraint.ge(Y, X)]
+)
+EMPTY_ELIMINATED = ConstraintSystem([
+    Constraint.eq(LinearExpr.of("z"), X + 1),
+    Constraint.le(LinearExpr.of("z"), Y),
+    Constraint.ge(X, Y),
+])
+# Past the LP prune's 60 rows, a conflict among kept variables leaves
+# no constant row behind; the projection still decides emptiness.
+EMPTY_KEPT_WIDE = ConstraintSystem(
+    list(EMPTY_KEPT) + list(DOMINATED_WIDE)
+)
+
+
 @given(
     constraint_systems(POOL),
     st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True),
 )
 @example(DOMINATED, ["z"])
 @example(DOMINATED_WIDE, ["z"])
-@settings(max_examples=60, deadline=None)
+@example(EMPTY_KEPT, ["y"])
+@example(EMPTY_ELIMINATED, ["z"])
+@example(EMPTY_KEPT_WIDE, ["y"])
+@example(CONTRADICTION, ["z"])
+@settings(max_examples=80, deadline=None)
 def test_tracked_elimination_byte_identical(system, targets):
-    """Same projection — or the same blow-up — from kernel and oracle."""
-    try:
-        from_int = eliminate_all_tracked(system, targets)
-    except FMBlowupError:
-        from_int = None
-    try:
-        from_ref = oracle_eliminate_all_tracked(system, targets)
-    except FMBlowupError:
-        from_ref = None
-    if from_int is None or from_ref is None:
-        assert from_int is None and from_ref is None
-    else:
-        assert identical(from_int, from_ref)
+    """The same tidy projection from kernel and oracle: the oracle
+    elimination's point set, irredundant, and ``-1 >= 0`` when
+    empty."""
+    result = eliminate_all_tracked(system, targets)
+    assert identical(result, oracle_project(system, targets))
+    check_projection(system, targets, result)
 
 
 @given(constraint_systems(POOL))
@@ -214,13 +232,12 @@ def test_fm_backend_equality_witnesses_identical(case, prune):
 
 @pytest.mark.parametrize("nd", [2, 3, 4])
 def test_hull_lift_byte_identical(nd):
-    """The lifted system ``join_exact`` projects for an nd-dimensional
-    convex hull."""
+    """The lifted system ``_lifted_join`` projects for an
+    nd-dimensional convex hull."""
     lifted, to_eliminate = hull_lift_workload(nd)
-    assert identical(
-        eliminate_all_tracked(lifted, to_eliminate),
-        oracle_eliminate_all_tracked(lifted, to_eliminate),
-    )
+    result = eliminate_all_tracked(lifted, to_eliminate)
+    assert identical(result, oracle_project(lifted, to_eliminate))
+    check_projection(lifted, to_eliminate, result)
 
 
 PERM = """

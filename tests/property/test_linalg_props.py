@@ -5,7 +5,7 @@ Invariants:
 - FM elimination preserves satisfiability and computes the exact
   projection (any solution of the projection extends; any solution of
   the original restricts);
-- the tracked (Chernikov) elimination agrees with plain FM;
+- the tidy projection (``eliminate_all_tracked``) agrees with plain FM;
 - the simplex agrees with brute-force checks and satisfies weak/strong
   duality on random instances;
 - polyhedron joins are upper bounds and widening over-approximates.
