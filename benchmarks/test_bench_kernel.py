@@ -2,9 +2,10 @@
 
 The claim to regenerate: the dense integer row kernel beats the object
 pipeline kept as the test oracle (``tests/property/fm_oracle.py``) by
->= 3x on cold FM-heavy eliminations (the lifted convex-hull
-projections of ``Polyhedron._lifted_join``, with the LP tidying of
-``eliminate_all_tracked``), with byte-identical projections.
+>= 3x on cold FM-heavy eliminations (a synthetic projection workload:
+the lifted convex-hull construction of two boxes, projected with the
+LP tidying of ``eliminate_all_tracked``), with byte-identical
+projections.
 
 The measurements are folded into the repo-level ``BENCH_F8.json`` so
 the headline numbers are quotable without re-running pytest.
@@ -17,7 +18,7 @@ import time
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.fourier_motzkin import eliminate_all_tracked
 from repro.linalg.linexpr import LinearExpr
-from repro.linalg.polyhedron import Polyhedron, _homogenize
+from repro.linalg.polyhedron import Polyhedron
 
 from benchmarks.conftest import emit
 from tests.property.fm_oracle import oracle_project
@@ -41,9 +42,20 @@ def _update_headline(key, value):
 # -- kernel micro-bench -------------------------------------------------------
 
 
+def _homogenized(system, mapping, multiplier):
+    """Rows ``a.x + b REL 0`` as ``a.y + b*m REL 0``, y = mapping[x]."""
+    for constraint in system:
+        expr = LinearExpr(
+            {mapping[var]: c for var, c in constraint.terms}
+        ) + LinearExpr.of(multiplier, constraint.const)
+        yield Constraint(expr, constraint.relation)
+
+
 def hull_lift_workload(nd):
-    """The lifted system of an nd-dimensional convex hull — the exact
-    shape ``_lifted_join`` hands to ``eliminate_all_tracked``."""
+    """A synthetic FM projection workload: the lifted system of the
+    convex hull of two nd-dimensional boxes (``x = y1 + y2``, each box
+    homogenized by a multiplier ``m_i``, ``m1 + m2 = 1``), with every
+    variable but the ``x`` to eliminate."""
     dims = ["x%d" % i for i in range(nd)]
     box = Polyhedron(
         dims,
@@ -74,8 +86,8 @@ def hull_lift_workload(nd):
                 LinearExpr.of(y1[d]) + LinearExpr.of(y2[d]),
             )
         )
-    lifted.extend(_homogenize(box.system, y1, m1))
-    lifted.extend(_homogenize(shifted.system, y2, m2))
+    lifted.extend(_homogenized(box.system, y1, m1))
+    lifted.extend(_homogenized(shifted.system, y2, m2))
     lifted.add(Constraint.eq(LinearExpr.of(m1) + LinearExpr.of(m2), 1))
     lifted.add(Constraint.ge(LinearExpr.of(m1)))
     lifted.add(Constraint.ge(LinearExpr.of(m2)))

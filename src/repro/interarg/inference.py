@@ -48,26 +48,28 @@ from repro.interarg.domain import (
 )
 
 
+#: Ascending rounds before widening kicks in.
+WIDEN_AFTER = 4
+
+#: Hard cap on rounds; on hitting it the SCC's predicates fall back to
+#: the sound nonnegative-orthant default.
+MAX_ITERATIONS = 40
+
+#: Iterate-complexity bound: polyhedra are weakened (rows dropped,
+#: soundly) past this size so pathological predicates cannot stall the
+#: fixpoint.
+MAX_ROWS = 16
+
+
 @dataclass
 class InferenceSettings:
-    """Tuning knobs for the fixpoint (exposed for the ablation bench).
+    """The fixpoint's one knob (exposed for the ablation bench).
 
-    ``widen_after`` — ascending iterations before widening kicks in.
-    ``max_iterations`` — hard cap; on hitting it the affected
-    predicates fall back to the sound nonnegative-orthant default.
-    ``narrowing_passes`` — descending iterations after stabilization.
-    ``max_rows`` — iterate-complexity bound: polyhedra are weakened
-    (rows dropped, soundly) past this size so pathological predicates
-    cannot stall the fixpoint.
     ``join_strategy`` — ``"exact"`` (convex hull; discovers new facet
     directions) or ``"weak"`` (constraint-candidate join; cheaper but
     cannot discover directions — loses e.g. the gcd pipeline).
     """
 
-    widen_after: int = 4
-    max_iterations: int = 40
-    narrowing_passes: int = 1
-    max_rows: int = 16
     join_strategy: str = "exact"
 
     def key(self):
@@ -170,15 +172,15 @@ def _solve_component(program, graph, members, env, norm, settings):
     if not recursive:
         # A single non-recursive predicate needs exactly one evaluation.
         indicator = members[0]
-        memo = _ClauseMemo(members, norm, settings.max_rows)
+        memo = _ClauseMemo(members, norm)
         env.set(indicator, _predicate_step(program, indicator, env, memo,
                                            settings))
         return
 
-    memo = _ClauseMemo(members, norm, settings.max_rows)
+    memo = _ClauseMemo(members, norm)
     current = {ind: bottom_polyhedron(ind) for ind in members}
     stable = False
-    for iteration in range(settings.max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         # Jacobi-style round: evaluate every member against the state
         # from the previous round (plus lower SCCs already in env).
         round_env = _overlay(env, current)
@@ -187,7 +189,7 @@ def _solve_component(program, graph, members, env, norm, settings):
             for ind in members
         }
         proposal = stepped
-        if iteration >= settings.widen_after:
+        if iteration >= WIDEN_AFTER:
             proposal = {
                 ind: current[ind].widen(stepped[ind]).freeze()
                 for ind in members
@@ -206,21 +208,10 @@ def _solve_component(program, graph, members, env, norm, settings):
         return
 
     # The last round left ``current`` unchanged, so its un-widened
-    # ``stepped`` is F(current): the first descending step.
-    descended = stepped
-    for narrowing in range(settings.narrowing_passes):
-        if narrowing:
-            round_env = _overlay(env, current)
-            descended = {
-                ind: _predicate_step(program, ind, round_env, memo, settings)
-                for ind in members
-            }
-        # Keep the descent only while it stays a sound fixpoint
-        # (F(descended) must be below descended).
-        if all(descended[ind].entails(current[ind]) for ind in members):
-            current = descended
-        else:
-            break
+    # ``stepped`` is F(current): the descending step.  Keep it only if
+    # it stays a sound fixpoint (F(stepped) must be below stepped).
+    if all(stepped[ind].entails(current[ind]) for ind in members):
+        current = stepped
 
     for indicator in members:
         env.set(indicator, current[indicator])
@@ -236,10 +227,9 @@ class _ClauseMemo:
     recomputes only when the rows differ.
     """
 
-    def __init__(self, members, norm, max_rows):
+    def __init__(self, members, norm):
         self._members = frozenset(members)
         self._norm = norm
-        self._max_rows = max_rows
         self._entries = {}
 
     def contribution(self, indicator, position, clause, env):
@@ -253,7 +243,7 @@ class _ClauseMemo:
         if entry is not None and entry[0] == key:
             return entry[1]
         contribution = _clause_polyhedron(clause, env, self._norm)
-        contribution = contribution.weakened(self._max_rows).freeze()
+        contribution = contribution.weakened(MAX_ROWS).freeze()
         self._entries[indicator, position] = (key, contribution)
         return contribution
 
@@ -285,7 +275,7 @@ def _predicate_step(program, indicator, env, memo, settings):
                 result = result.join_weak(contribution)
         else:
             result = result.join(contribution)
-    return result.weakened(settings.max_rows).freeze()
+    return result.weakened(MAX_ROWS).freeze()
 
 
 def _clause_polyhedron(clause, env, norm):

@@ -34,7 +34,8 @@ implicit equalities and whose extreme rays are the facets, each once.
 A conversion whose ray count passes :data:`RAY_BUDGET` stops: the
 number of extreme rays can grow exponentially in the number of
 constraints (a box ``[0,1]^8`` has 256 vertices), and the caller then
-takes a path that does not enumerate them.
+takes a path that does not enumerate them: the hull's is the weak join,
+a sound upper bound found by LP.
 """
 
 from __future__ import annotations

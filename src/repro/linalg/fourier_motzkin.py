@@ -15,12 +15,12 @@ with per-step dominance pruning.  They differ only in what leaves:
 
 - :func:`eliminate_all` (dualize's ``w``, θ's ``σ``) returns the rows
   as they stand, equalities kept;
-- :func:`eliminate_all_tracked` (projection inside inter-argument
-  inference, and the convex hull of operands too large for double
-  description) enforces a row budget, returns pure ``>=`` rows after a
-  final dominance pass, and tidies small results with the exact LP
-  redundancy prune :func:`_prune_with_lp`; an empty projection of any
-  size comes out as the single row ``-1 >= 0``.
+- :func:`eliminate_all_tracked` (``Polyhedron.project``, the
+  projection inside inter-argument inference) enforces a row budget,
+  returns pure ``>=`` rows after a final dominance pass, and tidies
+  small results with the exact LP redundancy prune
+  :func:`_prune_with_lp`; an empty projection of any size comes out as
+  the single row ``-1 >= 0``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ dimensions.  Operations:
 - ``project`` — existential elimination via exact Fourier–Motzkin,
 - ``join`` — closed convex hull of the union, by double description
   (:mod:`repro.linalg.dd`: operands to generators, their union back to
-  minimal rows), or for operands with too many generators by the
-  lifted construction with mixing multipliers, projected by FM,
+  minimal rows); operands with too many generators get the weak join,
+  a sound upper bound of the hull,
 - ``widen`` — standard constraint-dropping widening so fixpoints
   terminate,
 - ``entails`` / ``equivalent`` — exact, via simplex.
@@ -21,18 +21,11 @@ introduced during construction must be projected away by the caller.
 
 from __future__ import annotations
 
-import itertools
-
-from repro.linalg.constraints import Constraint, ConstraintSystem, EQ, GE
+from repro.linalg.constraints import Constraint, ConstraintSystem, GE
 from repro.linalg.dd import cancel, cone_generators
-from repro.linalg.fourier_motzkin import (
-    FMBlowupError,
-    eliminate_all_tracked,
-)
+from repro.linalg.fourier_motzkin import FMBlowupError, eliminate_all_tracked
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.simplex import entails as lp_entails, is_feasible
-
-_hull_counter = itertools.count(1)
 
 
 class Polyhedron:
@@ -189,18 +182,13 @@ class Polyhedron:
         Kept as the default because the fixpoint must *discover* new
         facet directions (e.g. ``arg2 >= arg1 + 1`` for a ``less``
         predicate arises only as the hull of successive iterates); the
-        cheaper :meth:`join_weak` cannot do that.  When the lifted
-        construction overflows its row budget the weak join serves as
-        the sound fallback.
+        cheaper :meth:`join_weak` cannot do that.
         """
         if self.dimensions != other.dimensions:
             raise ValueError("join requires identical dimension lists")
         if self.system.constraint_set() == other.system.constraint_set():
             return self.copy()
-        try:
-            return self.join_exact(other)
-        except FMBlowupError:
-            return self.join_weak(other)
+        return self.join_exact(other)
 
     def join_weak(self, other):
         """An upper bound of the union: the *constraint-candidate* join.
@@ -216,7 +204,8 @@ class Polyhedron:
         the operands are written: ``arg1 >= 1, arg2 = arg1 + 1`` names
         no ``arg2`` row, yet still yields ``arg2 >= 2``.
         Cost: two small LPs per candidate, no Fourier–Motzkin at all.
-        Used by the ablation benchmarks.
+        The fixpoint's ``join_strategy="weak"``, and :meth:`join_exact`'s
+        answer for operands past the double-description budget.
         """
         if self.dimensions != other.dimensions:
             raise ValueError("join requires identical dimension lists")
@@ -262,7 +251,8 @@ class Polyhedron:
         result depends only on the hull's point set.
 
         A conversion that passes :data:`~repro.linalg.dd.RAY_BUDGET`
-        rays stops, and :meth:`_lifted_join` computes the hull instead.
+        rays stops, and the result is :meth:`join_weak`'s: a sound upper
+        bound of the hull, not always the hull itself.
         """
         if self.dimensions != other.dimensions:
             raise ValueError("join requires identical dimension lists")
@@ -273,54 +263,22 @@ class Polyhedron:
         if other._empty_cache:
             return self.copy()
         if first is None or second is None:
-            return self._lifted_join(other)
+            return self.join_weak(other)
         rows = _hull_rows(self.dimensions, first, second)
         if rows is None:
-            return self._lifted_join(other)
+            return self.join_weak(other)
         result = Polyhedron(self.dimensions, rows)
         result._empty_cache = False
         return result
-
-    def _lifted_join(self, other):
-        """The closed convex hull by the lifted construction: a point x
-        is in the hull iff x = y1 + y2 with ``A1 y1 >= -b1*m1``,
-        ``A2 y2 >= -b2*m2``, ``m1 + m2 = 1``, ``m1, m2 >= 0`` — with
-        ``m_i = 0`` the y_i range over the recession cone, which makes
-        the construction exact for unbounded polyhedra.  The auxiliary
-        variables are eliminated by exact Fourier–Motzkin
-        (:func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked`):
-        the path for operands too large to convert to generators.
-        """
-        if self.is_empty():
-            return other.copy()
-        if other.is_empty():
-            return self.copy()
-
-        tag = next(_hull_counter)
-        y1 = {d: ("hull_y1", tag, d) for d in self.dimensions}
-        y2 = {d: ("hull_y2", tag, d) for d in self.dimensions}
-        m1 = ("hull_m1", tag)
-        m2 = ("hull_m2", tag)
-
-        lifted = ConstraintSystem()
-        for d in self.dimensions:
-            lifted.add(_row([(d, 1), (y1[d], -1), (y2[d], -1)], 0, EQ))
-        lifted.extend(_homogenize(self.system, y1, m1))
-        lifted.extend(_homogenize(other.system, y2, m2))
-        lifted.add(_row([(m1, 1), (m2, 1)], -1, EQ))
-        lifted.add(_row([(m1, 1)], 0, GE))
-        lifted.add(_row([(m2, 1)], 0, GE))
-
-        to_eliminate = lifted.variables() - set(self.dimensions)
-        projected = eliminate_all_tracked(lifted, to_eliminate)
-        return Polyhedron(self.dimensions, projected)
 
     def widen(self, newer):
         """Standard widening: keep only our constraints *newer* entails.
 
         Requires self ⊑ newer in the fixpoint iteration (old first).
         Equalities are split so that one surviving half-space is kept
-        even when the other direction grew.
+        even when the other direction grew.  The kept rows are halves
+        of our own, so the result contains self and is nonempty: its
+        emptiness cache is set, and the next round needs no LP for it.
         """
         if self.is_empty():
             return newer.copy()
@@ -329,7 +287,9 @@ class Polyhedron:
             for half in constraint.as_inequalities():
                 if newer.entails_constraint(half):
                     kept.append(half)
-        return Polyhedron(self.dimensions, kept)
+        result = Polyhedron(self.dimensions, kept)
+        result._empty_cache = False
+        return result
 
     def weakened(self, max_rows):
         """A sound over-approximation with at most *max_rows* rows.
@@ -476,13 +436,3 @@ def _row(terms, const, relation):
     return Constraint.from_row(
         [var for var, _ in terms], [c for _, c in terms], const, relation
     )
-
-
-def _homogenize(system, var_mapping, multiplier):
-    """Rows ``linear . x + const >= 0`` become
-    ``linear . y + const * m >= 0`` (same for equalities)."""
-    for constraint in system:
-        terms = [(var_mapping.get(var, var), c) for var, c in constraint.terms]
-        if constraint.const:
-            terms.append((multiplier, constraint.const))
-        yield _row(terms, 0, constraint.relation)

@@ -170,23 +170,25 @@ class TestSettings:
         env = infer_interargument_constraints(program)
         assert env.get(("c", 1)).is_empty()
 
-    def test_growing_facts_widened(self):
+    def test_growing_facts_widened(self, monkeypatch):
         # nat(0). nat(s(N)) :- nat(N).  Sizes are unbounded; widening
         # must terminate with arg1 >= 0.
+        from repro.interarg import inference
+
+        monkeypatch.setattr(inference, "WIDEN_AFTER", 2)
         program = parse_program("nat(0).\nnat(s(N)) :- nat(N).")
-        env = infer_interargument_constraints(
-            program, settings=InferenceSettings(widen_after=2)
-        )
+        env = infer_interargument_constraints(program)
         poly = env.get(("nat", 1))
         assert not poly.is_empty()
         assert poly.contains_point({arg_dimension(1): 1000})
 
-    def test_max_iterations_fallback_sound(self):
+    def test_max_iterations_fallback_sound(self, monkeypatch):
+        from repro.interarg import inference
+
+        monkeypatch.setattr(inference, "WIDEN_AFTER", 99)
+        monkeypatch.setattr(inference, "MAX_ITERATIONS", 3)
         program = parse_program("nat(0).\nnat(s(N)) :- nat(N).")
-        env = infer_interargument_constraints(
-            program,
-            settings=InferenceSettings(widen_after=99, max_iterations=3),
-        )
+        env = infer_interargument_constraints(program)
         poly = env.get(("nat", 1))
         # Fallback: plain nonnegative orthant.
         assert poly.contains_point({arg_dimension(1): 12345})
@@ -268,25 +270,25 @@ class TestWideArity:
 
 def _reference_solve_component(program, graph, members, env, norm, settings):
     """``_solve_component`` as a full recomputation: every round, and
-    the narrowing pass, evaluates every clause of every member (each
+    the narrowing step, evaluates every clause of every member (each
     step gets a fresh, empty memo)."""
     from repro.interarg.domain import bottom_polyhedron, default_polyhedron
     from repro.interarg.inference import (
-        _ClauseMemo, _overlay, _predicate_step,
+        MAX_ITERATIONS, WIDEN_AFTER, _ClauseMemo, _overlay, _predicate_step,
     )
 
     def step(indicator, round_env):
-        memo = _ClauseMemo(members, norm, settings.max_rows)
+        memo = _ClauseMemo(members, norm)
         return _predicate_step(program, indicator, round_env, memo, settings)
 
     current = {ind: bottom_polyhedron(ind) for ind in members}
     stable = False
-    for iteration in range(settings.max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         proposal = {}
         round_env = _overlay(env, current)
         for indicator in members:
             proposal[indicator] = step(indicator, round_env)
-        if iteration >= settings.widen_after:
+        if iteration >= WIDEN_AFTER:
             proposal = {
                 ind: current[ind].widen(proposal[ind]) for ind in members
             }
@@ -302,13 +304,10 @@ def _reference_solve_component(program, graph, members, env, norm, settings):
             env.set(indicator, default_polyhedron(indicator))
         return
 
-    for _ in range(settings.narrowing_passes):
-        round_env = _overlay(env, current)
-        descended = {ind: step(ind, round_env) for ind in members}
-        if all(descended[ind].entails(current[ind]) for ind in members):
-            current = descended
-        else:
-            break
+    round_env = _overlay(env, current)
+    descended = {ind: step(ind, round_env) for ind in members}
+    if all(descended[ind].entails(current[ind]) for ind in members):
+        current = descended
 
     for indicator in members:
         env.set(indicator, current[indicator])
@@ -400,7 +399,7 @@ class TestChangeDrivenFixpoint:
         callee = default_polyhedron(indicator)
         env = SizeEnvironment()
         env.set(indicator, callee)
-        memo = _ClauseMemo([indicator], norm, 16)
+        memo = _ClauseMemo([indicator], norm)
 
         first = memo.contribution(indicator, 1, recursive, env)
         assert memo.contribution(indicator, 1, recursive, env) is first
@@ -434,9 +433,5 @@ class TestSettingsKey:
 
     def test_key_is_the_pinned_tuple(self):
         # Fingerprints and store keys embed this tuple's repr.
-        assert InferenceSettings().key() == (4, 40, 1, 16, "exact")
-        settings = InferenceSettings(
-            widen_after=2, max_iterations=9, narrowing_passes=0,
-            max_rows=8, join_strategy="weak",
-        )
-        assert settings.key() == (2, 9, 0, 8, "weak")
+        assert InferenceSettings().key() == ("exact",)
+        assert InferenceSettings(join_strategy="weak").key() == ("weak",)

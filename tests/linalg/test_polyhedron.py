@@ -209,6 +209,26 @@ class TestWiden:
         assert widened.entails_constraint(Constraint.ge(a(), 1))
         assert widened.contains_point({"a": 5, "b": 0})
 
+    def test_widened_nonempty_decides_emptiness_without_lp(self, monkeypatch):
+        # The kept rows are halves of old's, so the widened polyhedron
+        # contains old: nonempty, known with no LP.
+        from repro.linalg import polyhedron
+
+        old = make([Constraint.eq(a(), b() + 1), Constraint.le(a(), 2)])
+        new = make([Constraint.ge(a(), b() + 1), Constraint.le(a(), 5)])
+        assert not old.is_empty()
+        lps = []
+        original = polyhedron.is_feasible
+
+        def counted(system):
+            lps.append(system)
+            return original(system)
+
+        monkeypatch.setattr(polyhedron, "is_feasible", counted)
+        widened = old.widen(new)
+        assert not widened.is_empty()
+        assert lps == []
+
 
 class TestWeakened:
     def test_small_unchanged(self):

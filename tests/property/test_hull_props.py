@@ -228,7 +228,7 @@ def test_hull_keeps_the_facet_chernikov_pruning_drops():
     """A corpus hull that the lifted construction once
     over-approximated, when its projection pruned rows by Chernikov's
     rule: the exact hull has the facet ``-x1 + 3*x2 - x3 - 1 >= 0``,
-    and both hull paths keep it."""
+    and the double-description hull keeps it."""
     x1, x2, x3 = (LinearExpr.of(name) for name in ("x1", "x2", "x3"))
     dimensions = ("x1", "x2", "x3")
     a = Polyhedron(dimensions, [
@@ -243,14 +243,17 @@ def test_hull_keeps_the_facet_chernikov_pruning_drops():
     ])
     want = oracle_hull(a, b)
     facet = Constraint.ge(-x1 + 3 * x2 - x3 - 1)
-    for hull in (a.join_exact(b), a._lifted_join(b)):
-        assert hull.entails_constraint(facet)
-        assert hull.entails(want) and want.entails(hull)
+    hull = a.join_exact(b)
+    assert hull.entails_constraint(facet)
+    assert hull.entails(want) and want.entails(hull)
 
 
-def test_box_past_the_ray_budget_takes_the_lifted_path(monkeypatch):
+def test_box_past_the_ray_budget_takes_the_weak_join(monkeypatch):
     """``[0,1]^8`` has 256 vertices, past the ray budget: the hull with
-    a point is the lifted construction's."""
+    a point is the weak join's, a sound upper bound found by LP with no
+    Fourier–Motzkin."""
+    from repro.linalg import polyhedron
+
     dimensions = tuple("x%d" % i for i in range(8))
     box = Polyhedron(dimensions, [
         row for d in dimensions
@@ -262,15 +265,20 @@ def test_box_past_the_ray_budget_takes_the_lifted_path(monkeypatch):
         for d in dimensions
     ])
     assert 2 ** len(dimensions) > dd.RAY_BUDGET
-    lifted = []
-    original = Polyhedron._lifted_join
 
-    def recorded(self, other):
-        lifted.append(other)
-        return original(self, other)
+    def no_fm(*args, **kwargs):
+        raise AssertionError("the join ran Fourier–Motzkin")
 
-    monkeypatch.setattr(Polyhedron, "_lifted_join", recorded)
+    monkeypatch.setattr(polyhedron, "eliminate_all_tracked", no_fm)
     hull = box.join(point)
-    assert lifted == [point]
+    weak = box.join_weak(point)
+    assert [repr(row) for row in hull.system] == [
+        repr(row) for row in weak.system
+    ]
     assert box.entails(hull) and point.entails(hull)
     assert not hull.contains_point({d: -1 for d in dimensions})
+    # The price: the bounding box admits (2, 1, 0, ...), which every
+    # facet x0 + xi <= 2 of the exact hull excludes.
+    assert hull.contains_point(
+        {d: {"x0": 2, "x1": 1}.get(d, 0) for d in dimensions}
+    )

@@ -7,8 +7,9 @@ canonical form, in the same insertion order.  These tests compare
 ``.constraints`` tuples directly (order-sensitive) on random systems
 (with and without equalities, including systems every target of which
 is substituted away so ``=`` rows survive) and on systems the analysis
-really builds — lifted convex hulls and the dualized Eq. 8 pairs of
-``perm`` — and the ``fm`` backend's verdicts and witnesses on top.
+really builds — the dualized Eq. 8 pairs of ``perm`` — and on the
+lifted convex-hull systems of the F8 workload, with the ``fm``
+backend's verdicts and witnesses on top.
 The tidy projection of ``eliminate_all_tracked`` (infeasible inputs
 included) must in addition be the oracle elimination's point set,
 irredundant, and ``-1 >= 0`` when empty.
@@ -227,13 +228,13 @@ def test_fm_backend_equality_witnesses_identical(case, prune):
         assert system.satisfied_by(witness)
 
 
-# -- systems the analysis builds ----------------------------------------------
+# -- the F8 workload and systems the analysis builds --------------------------
 
 
 @pytest.mark.parametrize("nd", [2, 3, 4])
 def test_hull_lift_byte_identical(nd):
-    """The lifted system ``_lifted_join`` projects for an
-    nd-dimensional convex hull."""
+    """The F8 workload: the lifted system of an nd-dimensional convex
+    hull."""
     lifted, to_eliminate = hull_lift_workload(nd)
     result = eliminate_all_tracked(lifted, to_eliminate)
     assert identical(result, oracle_project(lifted, to_eliminate))
