@@ -85,7 +85,7 @@ def build_parser():
         help="termination prover (see --list-methods): 'argsize' "
         "(default) is the paper's certifying analysis, 'sizechange' "
         "proves lexicographic descents via local level mappings, "
-        "'nonterm' hunts a looping derivation and can DISPROVE, "
+        "'nonterm' finds a looping derivation and can DISPROVE, "
         "'portfolio' races them per SCC cheapest-first",
     )
     parser.add_argument(

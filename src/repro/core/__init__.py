@@ -53,7 +53,6 @@ from repro.core.pipeline import (
 from repro.core.capture import CapturePlan, plan_capture_rules
 from repro.core.certcache import MemoryCertificateCache
 from repro.core.certificate import (
-    DerivationWitness,
     LoopWitness,
     SCCProof,
     TerminationProof,
@@ -92,7 +91,6 @@ __all__ = [
     "SCCProof",
     "TerminationProof",
     "LoopWitness",
-    "DerivationWitness",
     "VerificationError",
     "verify_loop",
     "verify_proof",

@@ -92,11 +92,13 @@ class TerminationProof:
 @dataclass(frozen=True)
 class LoopEntry:
     """How a root query reaches a loop of another predicate: the
-    derived leftmost binary clause ``head <- body`` composed from the
-    program clauses at indices ``chain``, with ``body`` an instance of
-    the loop's head: ``body == loop head . sigma``."""
+    derived binary clause ``head <- body`` composed from the program
+    clauses at indices ``chain`` (their prefixes solved by the unit
+    clauses in ``prefixes``), with ``body`` an instance of the loop's
+    head: ``body == loop head . sigma``."""
 
     chain: tuple                   # program clause indices, in order
+    prefixes: tuple                # per clause, unit clause indices
     head: object
     body: object
     sigma: dict
@@ -107,39 +109,30 @@ class LoopWitness:
     """Certificate of a DISPROVED verdict (see
     :func:`repro.core.verifier.verify_loop`).
 
-    The leftmost binary clauses of the program clauses at indices
-    ``chain`` compose to ``head <- body`` with ``body == head . theta``:
-    every call matching ``head`` calls an instance of ``head`` again, so
-    each such call diverges.  ``query`` is a root query in ``mode``
-    that is an instance of ``head`` -- or, when ``entry`` is set, of
-    ``entry.head``, whose calls reach the loop.
+    The binary clauses of the program clauses at indices ``chain``
+    compose to ``head <- body``.  Step ``k`` calls the first user
+    literal of clause ``chain[k]`` left unsolved once ``=``/``true`` and
+    the unit clauses at indices ``prefixes[k]`` (one per user literal,
+    in order) have solved the literals before it.
+
+    ``criterion`` 1: ``body == head . theta`` -- every call matching
+    ``head`` calls an instance of ``head`` again, so each such call
+    diverges; ``query`` is a root query in ``mode`` that is an instance
+    of ``head``, or, when ``entry`` is set, of ``entry.head``, whose
+    calls reach the loop.  ``criterion`` 2: ``head == body . theta`` --
+    the call ``head`` calls the more general ``body``, which replays the
+    same steps forever; ``query`` is ``head`` itself, up to renaming.
     """
 
     chain: tuple                   # program clause indices, in order
+    prefixes: tuple                # per clause, unit clause indices
     head: object
     body: object
     theta: dict
     query: object
     mode: str
     entry: LoopEntry = None
-
-
-@dataclass(frozen=True)
-class DerivationWitness:
-    """Certificate of a DISPROVED verdict found on the SLD engine.
-
-    Resolving the leftmost user call with the program clauses at
-    indices ``chain``, in order (builtins ``=``/``true`` solved in
-    between), takes ``query`` to a goal list whose first call
-    subsumes the call made after ``start`` steps — which is still open
-    then.  By the lifting lemma the more general call replays the same
-    steps forever.
-    """
-
-    chain: tuple                   # program clause indices, in order
-    start: int
-    query: object
-    mode: str
+    criterion: int = 1
 
 
 def _names(members):

@@ -341,10 +341,8 @@ class SCCResult:
     #: Which :mod:`repro.methods` prover decided this SCC (portfolio
     #: provenance); ``""`` outside the methods layer.
     method: str = ""
-    #: The loop witness behind a DISPROVED verdict
-    #: (:class:`~repro.core.certificate.LoopWitness` or
-    #: :class:`~repro.core.certificate.DerivationWitness`); like
-    #: ``cache``, never exported.
+    #: The :class:`~repro.core.certificate.LoopWitness` behind a
+    #: DISPROVED verdict; like ``cache``, never exported.
     witness: object = None
 
     @property

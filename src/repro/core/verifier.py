@@ -19,17 +19,17 @@ argument regardless of any bug in the FM/dual path — the two pipelines
 share only the Eq. 1 construction.
 
 :func:`verify_loop` does the same for a DISPROVED verdict: it replays
-the loop witness against the program text alone — purity, the
-resolution steps through the named clauses, the instance relations
-and the shape of the diverging query — sharing nothing with the search
-that found the loop.
+the loop witness against the program text alone — purity, the body
+prefixes solved by the named unit clauses, the resolution steps
+through the named clauses, the instance relations and the shape of
+the diverging query — sharing nothing with the search that found the
+loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.core.certificate import DerivationWitness
 from repro.errors import ReproError
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
@@ -158,8 +158,7 @@ def is_pure_program(program):
 
 
 def verify_loop(program, witness):
-    """Replay a :class:`~repro.core.certificate.LoopWitness` or a
-    :class:`~repro.core.certificate.DerivationWitness`.
+    """Replay a :class:`~repro.core.certificate.LoopWitness`.
 
     Returns True when the witness proves that its query diverges under
     the leftmost selection rule; raises :class:`VerificationError`
@@ -169,63 +168,130 @@ def verify_loop(program, witness):
         raise VerificationError(
             "program uses cut, negation, or a non-monotone builtin"
         )
-    if isinstance(witness, DerivationWitness):
-        _check_derivation(program, witness)
-        return True
-    _check_chain(program, witness.chain, witness.head, witness.body)
-    if substitute(witness.head, witness.theta) != witness.body:
-        raise VerificationError(
-            "loop body %s is not head %s under theta"
-            % (witness.body, witness.head)
-        )
+    _check_chain(
+        program, witness.chain, witness.prefixes, witness.head, witness.body
+    )
     start = witness.head
     entry = witness.entry
-    if entry is not None:
-        _check_chain(program, entry.chain, entry.head, entry.body)
-        if substitute(witness.head, entry.sigma) != entry.body:
+    if witness.criterion == 1:
+        if substitute(witness.head, witness.theta) != witness.body:
             raise VerificationError(
-                "entry body %s is not loop head %s under sigma"
-                % (entry.body, witness.head)
+                "loop body %s is not head %s under theta"
+                % (witness.body, witness.head)
             )
-        start = entry.head
+        if entry is not None:
+            _check_chain(
+                program, entry.chain, entry.prefixes, entry.head, entry.body
+            )
+            if substitute(witness.head, entry.sigma) != entry.body:
+                raise VerificationError(
+                    "entry body %s is not loop head %s under sigma"
+                    % (entry.body, witness.head)
+                )
+            start = entry.head
+    elif witness.criterion == 2:
+        if entry is not None:
+            raise VerificationError(
+                "only the head of a subsumption loop diverges; it has no "
+                "entry"
+            )
+        if substitute(witness.body, witness.theta) != witness.head:
+            raise VerificationError(
+                "loop head %s is not body %s under theta"
+                % (witness.head, witness.body)
+            )
+        if match(witness.query, witness.head) is None:
+            raise VerificationError(
+                "query %s is not the loop head %s itself"
+                % (witness.query, witness.head)
+            )
+    else:
+        raise VerificationError(
+            "no loop criterion %r" % (witness.criterion,)
+        )
     _check_query(witness.query, start, witness.mode)
     return True
 
 
-def _check_chain(program, chain, head, body):
-    """The leftmost binary clauses of ``program.clauses[i]`` for ``i``
-    in *chain* compose (mgu with occurs check) to a variant of
-    ``head <- body``."""
+def _check_chain(program, chain, prefixes, head, body):
+    """The binary clauses of ``program.clauses[i]`` for ``i`` in
+    *chain*, their prefixes solved by the unit clauses in *prefixes*,
+    compose (mgu with occurs check) to a variant of ``head <- body``."""
     if not chain:
         raise VerificationError("empty clause chain")
+    if len(prefixes) != len(chain):
+        raise VerificationError(
+            "%d prefixes for the %d clauses of chain %s"
+            % (len(prefixes), len(chain), list(chain))
+        )
     clauses = program.clauses
     derived = None
-    for index in chain:
-        if not 0 <= index < len(clauses):
+    for index, facts in zip(chain, prefixes):
+        if index not in range(len(clauses)):
             raise VerificationError("no clause %r" % (index,))
-        clause = rename_apart(clauses[index])
-        first = clause.body[0] if clause.body else None
-        if (first is None or not first.positive
-                or first.indicator in BUILTIN_PREDICATES):
-            raise VerificationError(
-                "clause %d has no leftmost user call" % index
-            )
+        step = _binary_clause(clauses, index, facts)
         if derived is None:
-            derived = (clause.head, first.atom)
+            derived = step
             continue
-        mgu = unify(derived[1], clause.head, occurs_check=True)
+        mgu = unify(derived[1], step[0], occurs_check=True)
         if mgu is None:
             raise VerificationError(
                 "call %s does not unify with the head of clause %d"
                 % (derived[1], index)
             )
-        derived = (apply_subst(derived[0], mgu), apply_subst(first.atom, mgu))
+        derived = (apply_subst(derived[0], mgu), apply_subst(step[1], mgu))
     replayed, claimed = Struct("<-", derived), Struct("<-", (head, body))
     if match(replayed, claimed) is None or match(claimed, replayed) is None:
         raise VerificationError(
             "clauses %s compose to %s <- %s, not a variant of %s <- %s"
             % (list(chain), derived[0], derived[1], head, body)
         )
+
+
+def _binary_clause(clauses, index, facts):
+    """``H.sigma <- L.sigma`` for a renamed copy of clause *index*:
+    ``sigma`` solves the literals before the user literal ``L`` with
+    ``=``, ``true`` and the unit clauses at indices *facts*, one per
+    user literal, in order."""
+    clause = rename_apart(clauses[index])
+    facts = list(facts)
+    subst = {}
+    for literal in clause.body:
+        indicator = literal.indicator
+        if indicator == ("true", 0):
+            continue
+        if indicator == ("=", 2):
+            subst = unify(*literal.atom.args, subst, occurs_check=True)
+            if subst is None:
+                raise VerificationError(
+                    "%s fails in clause %d" % (literal.atom, index)
+                )
+            continue
+        if indicator in BUILTIN_PREDICATES:
+            break
+        if not facts:
+            return (
+                apply_subst(clause.head, subst),
+                apply_subst(literal.atom, subst),
+            )
+        fact = facts.pop(0)
+        if (fact not in range(len(clauses)) or clauses[fact].body
+                or clauses[fact].indicator != indicator):
+            raise VerificationError(
+                "%r is not a unit clause of %s/%d" % ((fact,) + indicator)
+            )
+        subst = unify(
+            literal.atom, rename_apart(clauses[fact]).head, subst,
+            occurs_check=True,
+        )
+        if subst is None:
+            raise VerificationError(
+                "%s in clause %d does not unify with unit clause %d"
+                % (literal.atom, index, fact)
+            )
+    raise VerificationError(
+        "clause %d has no user call after its prefix" % index
+    )
 
 
 def _check_query(query, head, mode):
@@ -255,72 +321,3 @@ def _check_query(query, head, mode):
             )
         else:
             free.add(arg)
-
-
-def _check_derivation(program, witness):
-    """Replay the SLD steps of a :class:`DerivationWitness` from its
-    query: the call made after ``start`` steps must stay open to the
-    end and be an instance of the call the steps end at."""
-    _check_query(witness.query, witness.query, witness.mode)
-    if not 0 <= witness.start < len(witness.chain):
-        raise VerificationError(
-            "step %r is not inside the derivation" % (witness.start,)
-        )
-    clauses = program.clauses
-    goals = [witness.query]
-    ancestor = None
-    for step, index in enumerate(witness.chain + (None,)):
-        goals = _solve_builtins(goals)
-        if step == witness.start and goals:
-            ancestor, open_goals = goals[0], len(goals)
-        elif ancestor is not None and len(goals) < open_goals:
-            raise VerificationError(
-                "the call %s completes at step %d" % (ancestor, step)
-            )
-        if index is None:
-            break
-        if not goals:
-            raise VerificationError("no call left at step %d" % step)
-        if not 0 <= index < len(clauses):
-            raise VerificationError("no clause %r" % (index,))
-        clause = rename_apart(clauses[index])
-        mgu = unify(goals[0], clause.head, occurs_check=True)
-        if mgu is None:
-            raise VerificationError(
-                "call %s does not unify with the head of clause %d"
-                % (goals[0], index)
-            )
-        goals = [
-            apply_subst(goal, mgu)
-            for goal in [lit.atom for lit in clause.body] + goals[1:]
-        ]
-    if ancestor is None:
-        raise VerificationError(
-            "no call after step %d of the derivation" % witness.start
-        )
-    if not goals or match(goals[0], ancestor) is None:
-        raise VerificationError(
-            "the derivation does not end at a call that subsumes %s"
-            % (ancestor,)
-        )
-
-
-def _solve_builtins(goals):
-    """Drop the leading ``true`` calls and solve the leading ``=``
-    calls (with occurs check) of a goal list."""
-    while goals:
-        first = goals[0]
-        name = first.functor if isinstance(first, Struct) else first.name
-        arity = len(first.args) if isinstance(first, Struct) else 0
-        if (name, arity) == ("true", 0):
-            goals = goals[1:]
-        elif (name, arity) == ("=", 2):
-            mgu = unify(first.args[0], first.args[1], occurs_check=True)
-            if mgu is None:
-                raise VerificationError("%s fails" % (first,))
-            goals = [apply_subst(goal, mgu) for goal in goals[1:]]
-        elif (name, arity) in BUILTIN_PREDICATES:
-            raise VerificationError("builtin %s on the derivation" % (first,))
-        else:
-            break
-    return goals

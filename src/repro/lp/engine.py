@@ -70,9 +70,6 @@ class SLDEngine:
         self._max_steps = 0
         self._max_depth = 0
         self._max_depth_seen = 0
-        #: The clauses resolved on the current branch, oldest first:
-        #: replaying them from the query reproduces the current goal.
-        self._path = []
 
     # -- public API ---------------------------------------------------------
 
@@ -207,15 +204,12 @@ class SLDEngine:
             if new_subst is None:
                 continue
             goals = tuple((lit, barrier) for lit in renamed.body)
-            self._path.append(clause)
             try:
                 yield from self._solve_goals(goals, new_subst, depth + 1)
             except _Cut as cut:
                 if cut.barrier != barrier:
                     raise
                 return
-            finally:
-                self._path.pop()
 
     def _provable(self, atom, subst, depth):
         """Negation as failure: does *atom* have at least one solution?"""

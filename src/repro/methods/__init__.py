@@ -16,12 +16,11 @@ Registered methods (see ``docs/METHODS.md`` for the guarantees):
     argument sizes; proves lexicographic and multiset descents a
     single linear ranking misses (e.g. ``ackermann``).
 ``nonterm``
-    A non-termination detector: static loop inference over leftmost
-    binary unfoldings plus dynamic ancestor subsumption on the SLD
-    engine; upgrades the verdict model to PROVED/DISPROVED/UNKNOWN.
+    A non-termination detector: static loop inference over binary
+    unfoldings through solved body prefixes; upgrades the verdict
+    model to PROVED/DISPROVED/UNKNOWN.
 ``portfolio``
-    Cheap-first race of the above with per-SCC provenance and
-    cooperative budgets.
+    Cheap-first race of the above with per-SCC provenance.
 """
 
 from repro.methods.base import (
@@ -36,10 +35,8 @@ from repro.methods.base import (
 from repro.methods.argsize import ArgSizeMethod
 from repro.methods.sizechange import SizeChangeMethod
 from repro.methods.nonterm import (
-    LoopingSLDEngine,
     NonTerminationMethod,
     find_static_loops,
-    hunt_looping_derivation,
     is_pure_program,
 )
 from repro.methods.portfolio import PortfolioMethod
@@ -56,8 +53,6 @@ __all__ = [
     "SizeChangeMethod",
     "NonTerminationMethod",
     "PortfolioMethod",
-    "LoopingSLDEngine",
     "find_static_loops",
-    "hunt_looping_derivation",
     "is_pure_program",
 ]

@@ -97,10 +97,9 @@ def available_methods():
     return tuple(sorted(_METHODS))
 
 
-def get_method(name, **options):
+def get_method(name):
     """Resolve a method by name (instances pass through verbatim).
 
-    *options* are forwarded to the method constructor (budget knobs).
     Unknown names raise :class:`~repro.errors.AnalysisError`, matching
     ``get_backend``'s error style.
     """
@@ -112,7 +111,7 @@ def get_method(name, **options):
             "unknown termination method %r; choose from %s"
             % (name, ", ".join(available_methods()))
         )
-    return cls(**options)
+    return cls()
 
 
 def observed_analyze(method, program, root, mode, settings=None,

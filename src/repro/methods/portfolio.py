@@ -13,13 +13,11 @@ Stage order (by method ``cost``):
 3. ``nonterm`` — attempted last; a looping derivation upgrades the
    verdict to DISPROVED with the looping goal as the reason.
 
-Budget semantics are *cooperative*: each sub-method carries its own
-operation budgets (closure caps, LP-call caps, engine step/depth
-budgets — see the method constructors), and the portfolio checks its
-wall-clock ``budget`` (seconds, None = unlimited) before *entering*
-each stage after the first; an exhausted budget skips the remaining
-stages rather than preempting a running one.  Hard preemption stays
-one layer up (``repro-analyze --timeout``, the serve deadline).
+Budgets are the sub-methods' own operation caps (module constants:
+sizechange's closure and LP-call caps, nonterm's composition cap);
+every stage runs to its own cap, and none is preempted.  Wall-clock
+limits stay one layer up (``repro-analyze --timeout``, the serve
+deadline).
 
 The merged result reports ``method="portfolio"`` with per-SCC
 ``SCCResult.method`` provenance naming the prover that decided each
@@ -28,8 +26,6 @@ SCC; sub-method attempts are instrumented through the standard
 """
 
 from __future__ import annotations
-
-from time import perf_counter
 
 from repro.core.analyzer import AnalyzerSettings
 from repro.core.pipeline import (
@@ -54,22 +50,14 @@ class PortfolioMethod(TerminationMethod):
     name = "portfolio"
     cost = 40
 
-    def __init__(self, budget=None, sizechange=None, nonterm=None):
-        self.budget = budget
-        self.sizechange_options = dict(sizechange or {})
-        self.nonterm_options = dict(nonterm or {})
-
     def _members(self, state):
         if state is None:
             state = {}
         methods = state.get("portfolio.methods")
         if methods is None:
             methods = {
-                "argsize": get_method("argsize"),
-                "sizechange": get_method(
-                    "sizechange", **self.sizechange_options
-                ),
-                "nonterm": get_method("nonterm", **self.nonterm_options),
+                name: get_method(name)
+                for name in ("argsize", "sizechange", "nonterm")
             }
             state["portfolio.methods"] = methods
         return methods, state
@@ -80,7 +68,6 @@ class PortfolioMethod(TerminationMethod):
         methods, state = self._members(state)
         root = tuple(root)
         mode = str(mode)
-        started = perf_counter()
         sub_results = []
 
         def attempt(name):
@@ -94,59 +81,36 @@ class PortfolioMethod(TerminationMethod):
             sub_results.append(result)
             return result
 
-        def out_of_budget():
-            return (
-                self.budget is not None
-                and perf_counter() - started >= self.budget
-            )
-
         argsize = attempt("argsize")
         merged = list(argsize.scc_results)
         for scc in merged:
             scc.method = scc.method or "argsize"
         status = argsize.status
-        skipped = []
 
         if status != PROVED:
-            if out_of_budget():
-                skipped.append("sizechange")
-            else:
-                sizechange = attempt("sizechange")
-                rescued = {
-                    frozenset(r.members): r
-                    for r in sizechange.scc_results if r.proved
-                }
-                merged = [
-                    r if r.proved
-                    else rescued.get(frozenset(r.members), r)
-                    for r in merged
+            sizechange = attempt("sizechange")
+            rescued = {
+                frozenset(r.members): r
+                for r in sizechange.scc_results if r.proved
+            }
+            merged = [
+                r if r.proved else rescued.get(frozenset(r.members), r)
+                for r in merged
+            ]
+            if all(r.proved for r in merged):
+                status = PROVED
+
+        if status != PROVED:
+            nonterm = attempt("nonterm")
+            if nonterm.status == DISPROVED:
+                status = DISPROVED
+                disproved = [
+                    r for r in nonterm.scc_results if r.status == DISPROVED
                 ]
-                if all(r.proved for r in merged):
-                    status = PROVED
-
-        if status != PROVED:
-            if out_of_budget():
-                skipped.append("nonterm")
-            else:
-                nonterm = attempt("nonterm")
-                if nonterm.status == DISPROVED:
-                    status = DISPROVED
-                    disproved = [
-                        r for r in nonterm.scc_results
-                        if r.status == DISPROVED
-                    ]
-                    merged = [r for r in merged if r.proved] + disproved
+                merged = [r for r in merged if r.proved] + disproved
 
         if status not in (PROVED, DISPROVED):
             status = UNKNOWN
-            if skipped:
-                for result in merged:
-                    if not result.proved and result.reason:
-                        result.reason += (
-                            " [portfolio budget exhausted; skipped: %s]"
-                            % ", ".join(skipped)
-                        )
-                        break
 
         trace = AnalysisTrace()
         attrs = dict(root="%s/%d" % root, mode=mode, method=self.name)

