@@ -190,11 +190,27 @@ def rename_apart(clause, suffix=None):
     """
     if suffix is None:
         suffix = next(_rename_counter)
-    renaming = {
-        var: Var("%s#%s" % (var.name.split("#")[0], suffix))
-        for var in clause.variables()
-    }
-    return apply_subst_clause(clause, renaming)
+    return apply_subst_clause(
+        clause, _fresh_renaming(clause.variables(), suffix)
+    )
+
+
+def _fresh_renaming(variables, suffix):
+    """Map each of *variables* to ``<base>#<suffix>``, where ``<base>``
+    is its name up to any ``#``.  Variables sharing a base (``W`` and
+    ``W#3``) get ``<base>#<suffix>.<k>`` after the first, so the
+    renaming stays injective and the result stays a variant."""
+    renaming = {}
+    bases = {}
+    for var in variables:
+        base = var.name.split("#")[0]
+        taken = bases.get(base, 0)
+        bases[base] = taken + 1
+        if taken:
+            renaming[var] = Var("%s#%s.%d" % (base, suffix, taken))
+        else:
+            renaming[var] = Var("%s#%s" % (base, suffix))
+    return renaming
 
 
 def canonicalize_clause_variables(clause):
@@ -228,8 +244,4 @@ def rename_term_apart(term, suffix=None):
 
     if suffix is None:
         suffix = next(_rename_counter)
-    renaming = {
-        var: Var("%s#%s" % (var.name.split("#")[0], suffix))
-        for var in term_variables(term)
-    }
-    return apply_subst(term, renaming)
+    return apply_subst(term, _fresh_renaming(term_variables(term), suffix))

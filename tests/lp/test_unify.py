@@ -3,6 +3,7 @@
 import pytest
 
 from repro.lp.parser import parse_program, parse_term
+from repro.lp.program import Clause, Literal
 from repro.lp.terms import Atom, Struct, Var
 from repro.lp.unify import (
     apply_subst,
@@ -154,6 +155,21 @@ class TestRenameApart:
         renamed = rename_term_apart(term)
         assert renamed.functor == "f"
         assert {v.name for v in renamed.variables()}.isdisjoint({"X", "Y"})
+
+    def test_renaming_keeps_variables_sharing_a_base_apart(self):
+        # W and an earlier renaming's W#3 share the base name W; merging
+        # them would make the result more specific than a variant.
+        term = Struct("f", (Var("W"), Var("W#3"), Var("W")))
+        renamed = rename_term_apart(term)
+        assert renamed.args[0] == renamed.args[2] != renamed.args[1]
+        assert match(term, renamed) is not None
+        assert match(renamed, term) is not None
+        clause = parse_program("p(W) :- q(W).").clauses[0]
+        clause = Clause(clause.head, clause.body + (
+            Literal(Struct("q", (Var("W#3"),))),
+        ))
+        fresh = rename_apart(clause)
+        assert len(fresh.variables()) == 2
 
 
 class TestMatch:
