@@ -4,9 +4,10 @@
   mergesort needs list-length; flatten/tree programs defeat right-spine.
 - Inter-argument constraints on/off — perm, quicksort, palindrome, gcd
   all flip to UNKNOWN without them.
-- Final lambda feasibility: simplex vs pure Fourier–Motzkin — identical
-  verdicts, different cost.
-- FM redundancy pruning on/off — identical verdicts, cost difference.
+- (Retired: final lambda feasibility by simplex vs pure Fourier–Motzkin,
+  and FM dominance pruning on/off.  Both produced corpus payloads
+  byte-identical to the defaults, and both switches are gone; the
+  exact simplex is the one lambda solver.)
 - Polyhedron join: exact hull vs weak (constraint-candidate) join — the
   weak join cannot *discover* facet directions, so the gcd pipeline
   degrades.
@@ -93,70 +94,6 @@ def test_interarg_ablation(benchmark):
         data=[
             {"program": name, "with_interarg": with_ia, "without": without}
             for name, with_ia, without in rows
-        ],
-    )
-
-
-def test_feasibility_backend_ablation(benchmark):
-    names = ("merge_variant", "expr_parser", "perm")
-    timings = []
-    for name in names:
-        for backend in ("simplex", "fm"):
-            settings = AnalyzerSettings(feasibility=backend)
-            started = time.perf_counter()
-            status = verdict(name, settings)
-            elapsed = time.perf_counter() - started
-            timings.append((name, backend, status, elapsed))
-            assert status == "PROVED"
-    benchmark.pedantic(
-        lambda: verdict("merge_variant", AnalyzerSettings(feasibility="fm")),
-        rounds=3, iterations=1,
-    )
-    emit(
-        "F3_feasibility",
-        "Final feasibility backend (identical verdicts)\n"
-        + "\n".join(
-            "%-14s %-8s %-8s %.3fs" % row for row in timings
-        )
-        + "\n",
-        data=[
-            {
-                "program": name, "backend": backend,
-                "verdict": status, "seconds": elapsed,
-            }
-            for name, backend, status, elapsed in timings
-        ],
-    )
-
-
-def test_fm_prune_ablation(benchmark):
-    names = ("merge_variant", "expr_parser")
-    timings = []
-    for name in names:
-        for prune in (True, False):
-            settings = AnalyzerSettings(prune_fm=prune)
-            started = time.perf_counter()
-            status = verdict(name, settings)
-            elapsed = time.perf_counter() - started
-            timings.append((name, prune, status, elapsed))
-            assert status == "PROVED"
-    benchmark.pedantic(
-        lambda: verdict("expr_parser", AnalyzerSettings(prune_fm=False)),
-        rounds=3, iterations=1,
-    )
-    emit(
-        "F3_fm_prune",
-        "FM redundancy pruning (identical verdicts)\n"
-        + "\n".join(
-            "%-14s prune=%-5s %-8s %.3fs" % row for row in timings
-        )
-        + "\n",
-        data=[
-            {
-                "program": name, "prune": prune,
-                "verdict": status, "seconds": elapsed,
-            }
-            for name, prune, status, elapsed in timings
         ],
     )
 

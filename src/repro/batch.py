@@ -22,7 +22,7 @@ verdict table and one merged :class:`~repro.core.AnalysisTrace`.
 
 Worker processes have their *own* memoization caches, so merged
 ``cache_hits``/``cache_misses`` differ from a serial run; the
-structural counters (calls, rows, pivots, eliminations) and the
+structural counters (calls, rows, pivots) and the
 verdicts are identical, which ``tests/core/test_batch.py`` enforces.
 """
 
@@ -181,11 +181,6 @@ def analyze_many(entries, jobs=1, settings=None, baselines=(),
     settings = settings or AnalyzerSettings()
     if jobs < 1:
         raise AnalysisError("jobs must be >= 1, got %d" % jobs)
-    if jobs > 1 and not isinstance(settings.feasibility, str):
-        raise AnalysisError(
-            "parallel analysis needs a named feasibility backend "
-            "(backend instances do not cross process boundaries)"
-        )
     baseline_names = tuple(method.name for method in baselines)
 
     started = perf_counter()

@@ -17,7 +17,7 @@ Pipeline (Sections 3–6 of the paper):
 5. :mod:`repro.core.pipeline` — the staged execution engine: named
    stages (adorn, interarg, rule_systems, dualize, theta, solve,
    certify) with per-stage traces and memoization; final feasibility
-   goes through a pluggable :mod:`repro.solve` backend.
+   is decided by the exact simplex of :mod:`repro.solve`.
 6. :mod:`repro.core.analyzer` — settings + façade composing the
    pipeline, returning :class:`~repro.core.certificate.TerminationProof`
    certificates.

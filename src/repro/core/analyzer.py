@@ -20,7 +20,7 @@ control) runs the full pipeline of the paper:
 
 The staged execution itself lives in :mod:`repro.core.pipeline`
 (named stages, per-stage traces, memoization); the final feasibility
-test goes through a pluggable backend from :mod:`repro.solve`.
+test is the exact simplex of :mod:`repro.solve`.
 :class:`TerminationAnalyzer` composes the two and validates settings
 eagerly, so misconfiguration fails at construction, not mid-SCC.
 
@@ -126,16 +126,11 @@ class AnalyzerSettings:
     reproduces the pre-[VG90] behaviour on Example 3.1.
     ``allow_negative_theta`` — Appendix C search instead of the 0/1
     assignment.
-    ``feasibility`` — name of the :mod:`repro.solve` backend deciding
-    final lambda feasibility (``simplex`` or ``fm``), or an
-    :class:`~repro.solve.LPBackend` instance.  Resolved — and
-    validated — when the analyzer is constructed.
-    ``prune_fm`` — redundancy pruning inside Fourier–Motzkin.
     ``method`` — name of the :mod:`repro.methods` termination prover
     drivers dispatch to (``argsize``, ``sizechange``, ``nonterm``, or
     ``portfolio``).  ``argsize`` is the paper's pipeline and the
     default; the setting participates in request/certificate cache
-    keys.  Validated at construction like ``feasibility``.
+    keys.  Validated at construction like ``norm``.
     ``eliminate_w`` — True (default) runs the paper's practical route:
     Fourier–Motzkin eliminates the undistinguished dual multipliers per
     rule-subgoal pair ("in practice, Fourier-Motzkin elimination is
@@ -149,15 +144,13 @@ class AnalyzerSettings:
     norm: str = "structural"
     use_interarg: bool = True
     allow_negative_theta: bool = False
-    feasibility: str = "simplex"
-    prune_fm: bool = True
     eliminate_w: bool = True
     method: str = "argsize"
     inference: InferenceSettings = field(default_factory=InferenceSettings)
 
     def validate(self):
-        """Raise :class:`~repro.errors.AnalysisError` on unknown norm
-        or feasibility backend; return ``(norm, backend)`` resolved."""
+        """Raise :class:`~repro.errors.AnalysisError` on an unknown norm
+        or method; return the resolved norm."""
         return resolve_settings(self)
 
 
@@ -165,7 +158,7 @@ class TerminationAnalyzer:
     """Reusable analyzer bound to one program and settings.
 
     Thin façade over :class:`~repro.core.pipeline.AnalysisPipeline`:
-    settings are validated (norm + backend resolved) here, analyses
+    settings are validated (norm resolved) here, analyses
     are delegated there.  Reusing one analyzer across modes reuses the
     inferred inter-argument environment.
     """

@@ -66,7 +66,7 @@ def w_var(pair_id, k):
     return ("w", pair_id, k)
 
 
-def pair_constraints(system, eliminate_w=True, prune=True):
+def pair_constraints(system, eliminate_w=True):
     """Lambda/theta constraints for one :class:`RuleSizeSystem`.
 
     Returns a :class:`ConstraintSystem` over ``lam_var(...)`` and the
@@ -124,7 +124,7 @@ def pair_constraints(system, eliminate_w=True, prune=True):
     if not eliminate_w:
         return constraints
 
-    return eliminate_all(constraints, w_names, prune=prune)
+    return eliminate_all(constraints, w_names)
 
 
 def lambda_nonnegativity(nodes_with_positions):

@@ -75,7 +75,6 @@ def trace_to_dict(trace):
             "cache_hits": s.cache_hits,
             "cache_misses": s.cache_misses,
             "pivots": s.pivots,
-            "eliminations": s.eliminations,
         }
         for s in trace.stages()
     ]

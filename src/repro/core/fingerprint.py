@@ -240,7 +240,7 @@ def scc_certificate_fingerprint(program, members, env, settings_key):
     nodes.  *env* — the inferred size environment (member polyhedra
     included: preceding recursive subgoals import them).
     *settings_key* — the hashable tuple of every analyzer knob the SCC
-    stages read (norm, theta mode, backend, elimination settings).
+    stages read (norm, theta mode, ``w`` elimination, method).
 
     Returns ``(key, canonical_member_order)``.
     """

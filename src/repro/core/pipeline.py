@@ -8,7 +8,7 @@ The Sohn & Van Gelder analysis decomposes into named stages:
 ``rule_systems``          assemble Eq. 1 per rule × recursive subgoal
 ``dualize``               LP-dualize each pair to lambda/theta constraints
 ``theta``                 choose theta offsets / build Appendix C paths
-``solve``                 final lambda feasibility via a pluggable backend
+``solve``                 final lambda feasibility via the exact simplex
 ``certify``               extract the lambda certificate per SCC
 ========================  ====================================================
 
@@ -41,7 +41,7 @@ from repro.lp.program import Program
 from repro.linalg.constraints import ConstraintSystem
 from repro.graph.scc import is_recursive_component, strongly_connected_components
 from repro.sizes.norms import get_norm
-from repro.solve import get_backend
+from repro.solve import SimplexBackend
 from repro.interarg import (
     SizeEnvironment,
     infer_interargument_constraints,
@@ -55,7 +55,7 @@ from repro.core.dual import (
     pair_constraints,
     theta_var,
 )
-from repro.core.rule_system import build_rule_systems
+from repro.core.rule_system import scc_rule_systems
 from repro.core.theta import (
     choose_thetas,
     path_constraints,
@@ -97,8 +97,8 @@ class StageTrace:
 
     ``rows_in``/``rows_out`` are constraint-row counts entering and
     leaving the stage; ``cache_hits``/``cache_misses`` count memoized
-    sub-results (dualizations, environments); ``pivots`` and
-    ``eliminations`` aggregate backend solver work.
+    sub-results (dualizations, environments); ``pivots`` aggregates
+    simplex work in the final solve.
     """
 
     stage: str
@@ -109,7 +109,6 @@ class StageTrace:
     cache_hits: int = 0
     cache_misses: int = 0
     pivots: int = 0
-    eliminations: int = 0
 
     def merge(self, other):
         """Fold another record for the same stage into this one."""
@@ -120,13 +119,12 @@ class StageTrace:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.pivots += other.pivots
-        self.eliminations += other.eliminations
 
 
 #: StageTrace counter fields mirrored into stage-span counters.
 _STAGE_COUNTERS = (
     "calls", "rows_in", "rows_out", "cache_hits", "cache_misses",
-    "pivots", "eliminations",
+    "pivots",
 )
 
 #: Span-name prefix marking the spans stage totals are derived from.
@@ -138,7 +136,7 @@ class AnalysisTrace:
 
     Since the observability rework this is a *view* over a span tree:
     :attr:`tracer` records hierarchical spans (``analyze`` roots,
-    ``scc`` groups, ``stage.*`` leaves, plus whatever the backends and
+    ``scc`` groups, ``stage.*`` leaves, plus whatever the solver and
     caches attach below them), and the per-stage
     :class:`StageTrace` totals the old API exposed — :meth:`stage`,
     :meth:`stages`, :attr:`total_time` — are derived on demand by
@@ -212,7 +210,6 @@ class AnalysisTrace:
             total.cache_hits += counters.get("cache_hits", 0)
             total.cache_misses += counters.get("cache_misses", 0)
             total.pivots += counters.get("pivots", 0)
-            total.eliminations += counters.get("eliminations", 0)
         return total
 
     def stages(self):
@@ -242,7 +239,7 @@ class AnalysisTrace:
         """Aligned per-stage table (the ``--stats`` rendering)."""
         headers = (
             "stage", "calls", "ms", "rows-in", "rows-out",
-            "cache h/m", "pivots", "elims",
+            "cache h/m", "pivots",
         )
         rows = []
         for s in self.stages():
@@ -254,7 +251,6 @@ class AnalysisTrace:
                 str(s.rows_out),
                 "%d/%d" % (s.cache_hits, s.cache_misses),
                 str(s.pivots),
-                str(s.eliminations),
             ))
         rows.append((
             "total",
@@ -267,7 +263,6 @@ class AnalysisTrace:
                 sum(s.cache_misses for s in self.stages()),
             ),
             str(sum(s.pivots for s in self.stages())),
-            str(sum(s.eliminations for s in self.stages())),
         ))
         widths = [len(h) for h in headers]
         for row in rows:
@@ -444,9 +439,9 @@ def clear_caches():
 
 
 def resolve_settings(settings):
-    """Validate analyzer settings eagerly; return ``(norm, backend)``.
+    """Validate analyzer settings eagerly; return the resolved norm.
 
-    Unknown ``norm`` or ``feasibility`` values raise one clear
+    Unknown ``norm`` or ``method`` values raise one clear
     :class:`AnalysisError` at construction time instead of failing
     mid-SCC with subsystem-specific error shapes.
     """
@@ -454,7 +449,6 @@ def resolve_settings(settings):
         norm = get_norm(settings.norm)
     except ValueError as error:
         raise AnalysisError("invalid analyzer settings: %s" % error) from None
-    backend = get_backend(settings.feasibility, prune=settings.prune_fm)
     method = getattr(settings, "method", "argsize")
     # Lazy import: repro.methods imports repro.core, not vice versa.
     from repro.methods import available_methods
@@ -464,7 +458,7 @@ def resolve_settings(settings):
             "unknown termination method %r; choose from %s"
             % (method, ", ".join(available_methods()))
         )
-    return norm, backend
+    return norm
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -518,7 +512,7 @@ class AnalysisPipeline:
             raise AnalysisError("expected a Program")
         self.program = program
         self.settings = settings
-        self.norm, self.backend = resolve_settings(settings)
+        self.norm = resolve_settings(settings)
         self.certificate_cache = certificate_cache
         self._environment = None
         self._environment_key = None
@@ -532,8 +526,6 @@ class AnalysisPipeline:
             self.norm.name,
             bool(s.allow_negative_theta),
             bool(s.eliminate_w),
-            bool(s.prune_fm),
-            self.backend.name,
             getattr(s, "method", "argsize"),
         )
 
@@ -601,7 +593,6 @@ class AnalysisPipeline:
             root="%s/%d" % root_indicator,
             mode=str(root_mode),
             norm=self.norm.name,
-            backend=self.backend.name,
         )
         if request_id is not None:
             attrs["request_id"] = str(request_id)
@@ -733,7 +724,7 @@ class AnalysisPipeline:
         Mirrors :meth:`analyze_scc` up to the point the final lambda
         system exists, then defers the feasibility solve: the caller
         collects every prepared SCC and dispatches them through one
-        :meth:`~repro.solve.LPBackend.feasible_points` call.  Early
+        :meth:`~repro.solve.SimplexBackend.feasible_points` call.  Early
         finishes (certificate reuse, a pre-solve verdict) come back
         with ``.result`` already set.
         """
@@ -772,8 +763,8 @@ class AnalysisPipeline:
         return prepared
 
     def _solve_scc_batch(self, pending, scc_results, trace):
-        """Dispatch the deferred solves as one backend
-        :meth:`~repro.solve.LPBackend.feasible_points` call.
+        """Dispatch the deferred solves as one
+        :meth:`~repro.solve.SimplexBackend.feasible_points` call.
 
         Fills each pending ``(slot, prepared)`` entry of *scc_results*
         in place.  Stage accounting matches the serial path: one
@@ -784,7 +775,7 @@ class AnalysisPipeline:
         finals = [prepared.state.final for _, prepared in pending]
         with trace.span("solve.batch", sccs=len(finals)):
             started = perf_counter()
-            outcomes = self.backend.feasible_points(finals)
+            outcomes = SimplexBackend().feasible_points(finals)
             share = (perf_counter() - started) / len(finals)
         for (slot, prepared), outcome in zip(pending, outcomes):
             state = prepared.state
@@ -845,14 +836,9 @@ class AnalysisPipeline:
                 cache="hit",
                 fingerprint=fingerprint,
             ), fingerprint, order
-        systems = []
-        for node in members:
-            for clause in self.program.clauses_for(node.indicator):
-                systems.extend(
-                    build_rule_systems(
-                        clause, node, members, environment, self.norm
-                    )
-                )
+        systems = scc_rule_systems(
+            self.program, members, environment, self.norm
+        )
         proof = SCCProof(
             members=members,
             norm=self.norm.name,
@@ -916,14 +902,9 @@ class AnalysisPipeline:
                 % ", ".join(free_nodes),
             )
         environment, _ = self._obtain_environment()
-        state.systems = []
-        for node in members:
-            for clause in self.program.clauses_for(node.indicator):
-                state.systems.extend(
-                    build_rule_systems(
-                        clause, node, members, environment, self.norm
-                    )
-                )
+        state.systems = scc_rule_systems(
+            self.program, members, environment, self.norm
+        )
         if not state.systems:
             return SCCResult(
                 members=members,
@@ -943,9 +924,7 @@ class AnalysisPipeline:
                 subgoal=system.subgoal_node,
             ) as node:
                 rows = pair_constraints(
-                    system,
-                    eliminate_w=self.settings.eliminate_w,
-                    prune=self.settings.prune_fm,
+                    system, eliminate_w=self.settings.eliminate_w
                 )
                 node.inc("rows_out", len(rows))
             state.combined.extend(rows)
@@ -994,11 +973,8 @@ class AnalysisPipeline:
     def _solve_verdict(self, state, event):
         """Fold ``state.outcome`` into the solve *event*; an UNKNOWN
         :class:`SCCResult` on infeasibility, None to continue."""
-        stats = state.outcome.stats
-        event.rows_in = len(state.final)
-        event.rows_out = stats.rows_out
-        event.pivots = stats.pivots
-        event.eliminations = stats.eliminations
+        event.rows_in = event.rows_out = len(state.final)
+        event.pivots = state.outcome.stats.pivots
         if not state.outcome.feasible:
             if self.settings.allow_negative_theta:
                 reason = ("infeasible even with negative theta weights "
@@ -1014,9 +990,9 @@ class AnalysisPipeline:
         return None
 
     def _stage_solve(self, state, event):
-        """Final lambda feasibility through the configured backend."""
+        """Final lambda feasibility through the exact simplex."""
         final = self._assemble_final(state)
-        state.outcome = self.backend.feasible_point(final)
+        state.outcome = SimplexBackend().feasible_point(final)
         return self._solve_verdict(state, event)
 
     def _stage_certify(self, state, event):

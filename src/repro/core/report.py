@@ -15,7 +15,7 @@ def render_stage_table(trace):
 
     *trace* is an :class:`~repro.core.pipeline.AnalysisTrace`; columns
     are wall time, constraint rows in/out, memoization hits/misses,
-    and backend solver work (simplex pivots / FM eliminations).
+    and simplex pivots in the final solve.
     """
     return "Pipeline stage trace:\n" + trace.describe()
 

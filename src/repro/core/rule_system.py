@@ -37,7 +37,7 @@ from repro.lp.program import BUILTIN_PREDICATES
 from repro.linalg.constraints import Constraint
 from repro.sizes.norms import get_norm
 from repro.sizes.size_equations import argument_size_exprs
-from repro.interarg.domain import instantiate_on_args
+from repro.interarg.domain import literal_constraints
 from repro.core.adornment import AdornedPredicate, clause_call_adornments
 
 
@@ -86,6 +86,18 @@ class RuleSizeSystem:
             lines.append("imported constraints:")
             lines.extend("  %s" % c for c in self.imported)
         return "\n".join(lines)
+
+
+def scc_rule_systems(program, members, env, norm="structural"):
+    """Every :class:`RuleSizeSystem` of one SCC: each member's clauses
+    against every recursive subgoal, in member and clause order."""
+    systems = []
+    for node in members:
+        for clause in program.clauses_for(node.indicator):
+            systems.extend(
+                build_rule_systems(clause, node, members, env, norm)
+            )
+    return systems
 
 
 def build_rule_systems(clause, head_node, scc_nodes, env, norm="structural"):
@@ -155,18 +167,9 @@ def _imported_for(literal, env, norm):
     """Constraints contributed by a subgoal preceding the recursive one."""
     if not literal.positive:
         return []  # Appendix D: discard preceding negative subgoals
-    indicator = literal.indicator
-    if indicator in BUILTIN_PREDICATES:
-        name, _ = indicator
-        if name == "=":
-            left, right = literal.atom.args
-            return [
-                Constraint.eq(norm.size_expr(left), norm.size_expr(right))
-            ]
-        return []  # comparisons contribute nothing (Example 5.1)
-    polyhedron = env.get(indicator)
-    if polyhedron.is_empty():
+    constraints = literal_constraints(literal, env, norm)
+    if constraints is None:
         # No derivable facts: the recursive subgoal is unreachable via
         # this rule; an always-false import makes the pair vacuous.
         return [Constraint.ge(-1)]
-    return instantiate_on_args(polyhedron, literal.atom, norm)
+    return constraints

@@ -14,6 +14,7 @@ constraints ... supplied by other external means".
 
 from __future__ import annotations
 
+from repro.lp.program import BUILTIN_PREDICATES
 from repro.linalg.constraints import Constraint
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.polyhedron import Polyhedron
@@ -108,6 +109,29 @@ def instantiate_on_args(polyhedron, atom, norm="structural"):
         )
     mapping = dict(zip(polyhedron.dimensions, exprs))
     return [c.substitute(mapping) for c in polyhedron.system]
+
+
+def literal_constraints(literal, env, norm="structural"):
+    """The size constraints a positive body literal imports, or None
+    when its predicate is bottom in *env* (no derivable facts).
+
+    ``=`` equates the sizes of its two sides; other builtins
+    (comparisons) supply no size information (Example 5.1); any other
+    literal instantiates its predicate's polyhedron on its arguments.
+    """
+    indicator = literal.indicator
+    if indicator in BUILTIN_PREDICATES:
+        if indicator[0] == "=":
+            left, right = literal.atom.args
+            norm = get_norm(norm)
+            return [
+                Constraint.eq(norm.size_expr(left), norm.size_expr(right))
+            ]
+        return []
+    polyhedron = env.get(indicator)
+    if polyhedron.is_empty():
+        return None
+    return instantiate_on_args(polyhedron, literal.atom, norm)
 
 
 def variable_nonnegativity(atoms, norm="structural"):

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.lp.program import BUILTIN_PREDICATES
-from repro.linalg.constraints import Constraint
 from repro.linalg.polyhedron import Polyhedron
 from repro.sizes.norms import get_norm
 from repro.sizes.size_equations import arg_dimension, atom_size_equations
@@ -43,7 +41,7 @@ from repro.interarg.domain import (
     SizeEnvironment,
     bottom_polyhedron,
     default_polyhedron,
-    instantiate_on_args,
+    literal_constraints,
     variable_nonnegativity,
 )
 
@@ -290,7 +288,7 @@ def _clause_polyhedron(clause, env, norm):
         if not literal.positive:
             continue  # negative subgoals bind nothing (Appendix D)
         atoms.append(literal.atom)
-        body_constraints = _literal_constraints(literal, env, norm)
+        body_constraints = literal_constraints(literal, env, norm)
         if body_constraints is None:
             return bottom_polyhedron(clause.indicator)
         constraints.extend(body_constraints)
@@ -302,25 +300,6 @@ def _clause_polyhedron(clause, env, norm):
     if projected.system.has_contradiction_row():
         return bottom_polyhedron(clause.indicator)
     return projected
-
-
-def _literal_constraints(literal, env, norm):
-    """Constraints a positive body literal contributes, or None if the
-    literal's predicate is currently bottom (no derivable facts yet)."""
-    indicator = literal.indicator
-    if indicator in BUILTIN_PREDICATES:
-        name, _ = indicator
-        if name == "=":
-            left, right = literal.atom.args
-            norm_obj = get_norm(norm)
-            return [
-                Constraint.eq(norm_obj.size_expr(left), norm_obj.size_expr(right))
-            ]
-        return []  # comparisons etc. supply no size information
-    poly = env.get(indicator)
-    if poly.is_empty():
-        return None
-    return instantiate_on_args(poly, literal.atom, norm)
 
 
 def _all_variables(constraints, head_dims):

@@ -43,18 +43,17 @@ __all__ = [
 ]
 
 
-def eliminate_all(system, variables, prune=True):
+def eliminate_all(system, variables):
     """Eliminate every variable in *variables*, cheapest-first.
 
     Variables an equality mentions go first, by Gaussian substitution
     (smallest ``repr`` first).  The rest are combined pairwise, each
     time the one with the fewest new rows (|positives| × |negatives|,
     the standard FM heuristic, ties by ``repr``); the first combination
-    splits every surviving equality into its inequality pair.  With
-    *prune*, only the tightest row per linear part survives each
-    combination.
+    splits every surviving equality into its inequality pair.  Only
+    the tightest row per linear part survives each combination.
     """
-    kernel, rows = _greedy(system, variables, prune=prune)
+    kernel, rows = _greedy(system, variables)
     if rows is not None:
         return materialize(rows, kernel.variables)
     return kernel.to_system()
@@ -96,7 +95,7 @@ def eliminate_all_tracked(system, variables, max_rows=600):
     return result
 
 
-def _greedy(system, variables, prune=True, max_rows=None):
+def _greedy(system, variables, max_rows=None):
     """The greedy elimination of *variables* from *system*.
 
     Returns ``(kernel, rows)``.  When no variable is left to combine
@@ -113,7 +112,7 @@ def _greedy(system, variables, prune=True, max_rows=None):
     if j is None:
         return kernel, rows
     while j is not None:
-        kernel.eliminate(j, prune=prune)
+        kernel.eliminate(j)
         if max_rows is not None and len(kernel) > max_rows:
             raise FMBlowupError("elimination exceeded %d rows" % max_rows)
         remaining.discard(j)

@@ -32,10 +32,8 @@ Every caller hands pure ``>=`` rows to :class:`RowKernel`, so the
 combination loop never inspects a relation:
 :func:`~repro.linalg.fourier_motzkin.eliminate_all` and
 :func:`~repro.linalg.fourier_motzkin.eliminate_all_tracked` after a
-greedy substitution prefix, the ``fm`` backend's
-:class:`StagedEliminator` after a ``repr``-order one (keeping one
-snapshot per stage for the witness).  There is one combination mode:
-every elimination is exact.
+greedy substitution prefix.  There is one combination mode: every
+elimination is exact, with per-step dominance.
 
 Results leave as :meth:`Constraint.from_row` over the surviving
 integer rows; no rational arithmetic happens on the way in or out.
@@ -46,8 +44,6 @@ tests in ``tests/property/test_kernel_props.py`` enforce.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from repro.linalg.constraints import (
     Constraint,
@@ -60,7 +56,6 @@ from repro.obs import METRICS
 
 __all__ = [
     "RowKernel",
-    "StagedEliminator",
 ]
 
 
@@ -237,13 +232,13 @@ class RowKernel:
 
     # -- elimination -----------------------------------------------------------
 
-    def eliminate(self, j, prune=True):
+    def eliminate(self, j):
         """Eliminate variable index *j* by pairwise combination.
 
         Positive rows pair with negative rows in row order, combined
         rows are gcd-normalized, trivial rows and duplicates are
-        dropped, and with *prune* the tightest row per linear part
-        survives (first-occurrence order).
+        dropped, and the tightest row per linear part survives
+        (first-occurrence order).
         """
         positives = []
         negatives = []
@@ -285,10 +280,8 @@ class RowKernel:
                 self._count(combined[0], 1)
 
         self.rows = kept
-        dominance_pruned = 0
-        if prune:
-            self._dominance()
-            dominance_pruned = len(kept) - len(self.rows)
+        self._dominance()
+        dominance_pruned = len(kept) - len(self.rows)
         if METRICS.enabled:
             METRICS.counter("fm.rows.generated").inc(generated)
             if dominance_pruned:
@@ -321,87 +314,3 @@ class RowKernel:
             Constraint.from_row(self.variables, coeffs, const)
             for coeffs, const in self.rows
         )
-
-
-class StagedEliminator:
-    """Staged elimination for the ``fm`` backend.
-
-    Eliminates every variable in ``repr`` order, keeping one flagged
-    row snapshot per stage so a witness can be recovered by reverse
-    back-substitution.  While an ``=`` row mentions the next variable
-    the stage is a :func:`substitute` step; the first variable none
-    mentions splits the equalities and hands every remaining stage to
-    an untracked :class:`RowKernel`.
-    """
-
-    __slots__ = ("variables", "stages")
-
-    def __init__(self, system):
-        self.variables = intern_variables(system)
-        self.stages = [flagged_rows(system, self.variables)]
-
-    def run(self, prune=True):
-        """Eliminate every variable; returns the final row list."""
-        kernel = None
-        for j in range(len(self.variables)):
-            if kernel is None:
-                rows = substitute(self.stages[-1], j)
-                if rows is not None:
-                    self.stages.append(rows)
-                    continue
-                kernel = RowKernel(
-                    self.variables, split_equalities(self.stages[-1])
-                )
-            kernel.eliminate(j, prune=prune)
-            self.stages.append([(False,) + row for row in kernel.rows])
-        return self.stages[-1]
-
-    # -- verdict and witness ---------------------------------------------------
-
-    def has_contradiction(self):
-        """A constant-false row in the fully eliminated system?"""
-        for is_eq, coeffs, const in self.stages[-1]:
-            if any(coeffs):
-                continue
-            if is_eq:
-                if const != 0:
-                    return True
-            elif const < 0:
-                return True
-        return False
-
-    def witness(self):
-        """A satisfying assignment, recovered in reverse elimination
-        order — each variable within the interval its stage allows."""
-        point = [None] * len(self.variables)
-        for j in range(len(self.variables) - 1, -1, -1):
-            point[j] = self._pick_value(self.stages[j], j, point)
-        return {
-            var: value for var, value in zip(self.variables, point)
-        }
-
-    def _pick_value(self, rows, j, point):
-        lower = None
-        upper = None
-        for is_eq, coeffs, const in rows:
-            c = coeffs[j]
-            if c == 0:
-                continue
-            rest = Fraction(const)
-            for i, coefficient in enumerate(coeffs):
-                if coefficient and i != j:
-                    rest += coefficient * point[i]
-            bound = -rest / c
-            if is_eq:
-                return bound
-            if c > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is not None and upper is not None:
-            return (lower + upper) / 2
-        if lower is not None:
-            return lower
-        if upper is not None:
-            return upper
-        return Fraction(0)

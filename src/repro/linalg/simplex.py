@@ -45,7 +45,7 @@ class LPResult:
     the dual multiplier of that row, in the convention of the row as
     written (``expr >= 0`` / ``expr = 0``).  ``pivots`` counts the
     tableau pivots performed across both phases (solver-cost telemetry
-    for the backend layer).
+    for the final solve's stage trace).
 
     A solve leaves ``assignment`` and ``duals`` to be read off its
     final tableau on first access: most callers (redundancy pruning,

@@ -1,7 +1,6 @@
 """Pluggable termination provers and the per-SCC portfolio.
 
-The method registry mirrors the :mod:`repro.solve` backend registry:
-provers register under a name, drivers resolve ``settings.method``
+Provers register under a name, drivers resolve ``settings.method``
 through :func:`get_method` / :class:`MethodRunner`, and unknown names
 fail at construction with the registered names listed.
 

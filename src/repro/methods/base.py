@@ -1,8 +1,7 @@
 """Pluggable termination provers: the method protocol + name registry.
 
-Modeled on the :mod:`repro.solve` backend registry
-(``register_backend``/``get_backend``): methods register themselves by
-name via the :func:`register_method` class decorator, drivers resolve
+Methods register themselves by name via the :func:`register_method`
+class decorator, drivers resolve
 names with :func:`get_method`, and unknown names fail with one clear
 :class:`~repro.errors.AnalysisError` listing what is registered.
 
@@ -100,8 +99,8 @@ def available_methods():
 def get_method(name):
     """Resolve a method by name (instances pass through verbatim).
 
-    Unknown names raise :class:`~repro.errors.AnalysisError`, matching
-    ``get_backend``'s error style.
+    Unknown names raise :class:`~repro.errors.AnalysisError` listing
+    the registered names.
     """
     if isinstance(name, TerminationMethod):
         return name

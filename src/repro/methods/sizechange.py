@@ -9,7 +9,7 @@ misses (``ackermann`` is the canonical example).
 
 Per recursive SCC of the adorned call graph, every rule × recursive
 subgoal combination (the same Eq. 1 data the pipeline assembles via
-:func:`~repro.core.rule_system.build_rule_systems`) yields one
+:func:`~repro.core.rule_system.scc_rule_systems`) yields one
 *size-change graph*: a bipartite graph over the bound argument
 positions of the caller and callee with an arc ``i -> j`` when the
 call provably never increases (weak) or always strictly decreases
@@ -23,7 +23,7 @@ integers:
 2. **LP entailment** — the imported inter-argument constraints of the
    preceding subgoals (the [VG90] substrate, already computed) plus
    size nonnegativity make ``x_i - y_j <= 0`` (strict) or ``<= -1``
-   (weak) infeasible, decided by the configured feasibility backend.
+   (weak) infeasible, decided by the exact simplex.
 
 The SCT criterion then closes the graph set under composition and
 checks that every idempotent self-loop graph carries a strict arc
@@ -53,7 +53,7 @@ from repro.core.pipeline import (
     AnalysisTrace,
     SCCResult,
 )
-from repro.core.rule_system import build_rule_systems
+from repro.core.rule_system import scc_rule_systems
 from repro.graph.scc import (
     is_recursive_component,
     strongly_connected_components,
@@ -61,6 +61,7 @@ from repro.graph.scc import (
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
 from repro.methods.base import TerminationMethod, register_method
+from repro.solve import SimplexBackend
 
 #: Per-SCC budgets (degrade to UNKNOWN, never block).
 CLOSURE_LIMIT = 2048
@@ -79,7 +80,7 @@ class SizeChangeMethod(TerminationMethod):
         settings = settings or AnalyzerSettings()
         base = replace(settings, method="argsize")
         # The pipeline supplies exactly the shared machinery needed —
-        # the resolved norm/backend and the (process-cached) inter-
+        # the resolved norm and the (process-cached) inter-
         # argument environment; its SCC stages are never run here.
         pipeline = AnalysisPipeline(program, base, certificate_cache=None)
         root = tuple(root)
@@ -150,12 +151,9 @@ class SizeChangeMethod(TerminationMethod):
     # -- one SCC ---------------------------------------------------------------
 
     def _prove_scc(self, program, members, environment, pipeline):
-        systems = []
-        for node in members:
-            for clause in program.clauses_for(node.indicator):
-                systems.extend(build_rule_systems(
-                    clause, node, members, environment, pipeline.norm
-                ))
+        systems = scc_rule_systems(
+            program, members, environment, pipeline.norm
+        )
         if not systems:
             return SCCResult(
                 members=members,
@@ -165,7 +163,7 @@ class SizeChangeMethod(TerminationMethod):
             )
         budget = [LP_CALLS]
         graphs = {
-            self._graph_of(system, pipeline.backend, budget)
+            self._graph_of(system, budget)
             for system in systems
         }
         verdict = self._sct_terminates(graphs)
@@ -196,7 +194,7 @@ class SizeChangeMethod(TerminationMethod):
 
     # -- size-change graphs ----------------------------------------------------
 
-    def _graph_of(self, system, backend, budget):
+    def _graph_of(self, system, budget):
         """One size-change graph for an Eq. 1 rule system.
 
         Arcs map the caller's bound positions to the callee's;
@@ -209,11 +207,11 @@ class SizeChangeMethod(TerminationMethod):
                 strict = _dominates(x_expr, y_expr, strictly=True)
                 weak = strict or _dominates(x_expr, y_expr, strictly=False)
                 if not weak and imported and budget[0] > 0:
-                    if self._entailed(x_expr, y_expr, imported, backend,
-                                      budget, strictly=True):
+                    if self._entailed(x_expr, y_expr, imported, budget,
+                                      strictly=True):
                         strict = weak = True
-                    elif self._entailed(x_expr, y_expr, imported, backend,
-                                        budget, strictly=False):
+                    elif self._entailed(x_expr, y_expr, imported, budget,
+                                        strictly=False):
                         weak = True
                 if weak:
                     arcs[(i, j)] = arcs.get((i, j), False) or strict
@@ -223,8 +221,7 @@ class SizeChangeMethod(TerminationMethod):
             frozenset((i, j, s) for (i, j), s in arcs.items()),
         )
 
-    def _entailed(self, x_expr, y_expr, imported, backend, budget,
-                  strictly):
+    def _entailed(self, x_expr, y_expr, imported, budget, strictly):
         """Does ``imported /\\ sizes >= 0`` entail ``x > y`` (strict)
         or ``x >= y`` (weak)?  Decided by refuting the negation; sizes
         are integer-valued, so ``x - y > 0`` means ``x - y >= 1``."""
@@ -238,7 +235,7 @@ class SizeChangeMethod(TerminationMethod):
             negation.add(Constraint.ge(y_expr - x_expr))        # x <= y
         else:
             negation.add(Constraint.ge(y_expr - x_expr, 1))     # x <= y - 1
-        return not backend.feasible_point(negation).feasible
+        return not SimplexBackend().feasible_point(negation).feasible
 
     # -- the SCT decision ------------------------------------------------------
 

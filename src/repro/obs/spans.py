@@ -12,9 +12,9 @@ through every call signature uses the ambient form::
 
     from repro.obs import span
 
-    with span("solve.fm", rows=len(system)) as s:
+    with span("solve.simplex", rows=len(system)) as s:
         ...
-        s.inc("eliminations", count)
+        s.inc("pivots", count)
 
 which attaches to whichever tracer is *active* on this thread (a
 tracer is active while one of its spans is open, or inside

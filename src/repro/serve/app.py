@@ -475,7 +475,12 @@ class ServeApp:
             return
         try:
             request = AnalyzeRequest.from_wire(wire)
-            request.parse()
+            # The store holds only answers to requests that parsed and
+            # validated, so a hit skips the parse.
+            key = request.key()
+            cached = self.store.get(key)
+            if cached is None:
+                request.parse()
         except ReproError as error:
             ctx.error = str(error)
             await self._respond(
@@ -484,9 +489,7 @@ class ServeApp:
             return
         ctx.root = "%s/%d" % request.root
         ctx.mode = request.mode
-        key = request.key()
         ctx.key = key
-        cached = self.store.get(key)
         if cached is not None:
             ctx.cache = "store-hit"
             try:

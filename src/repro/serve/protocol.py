@@ -59,8 +59,6 @@ WIRE_SETTINGS = (
     "norm",
     "use_interarg",
     "allow_negative_theta",
-    "feasibility",
-    "prune_fm",
     "eliminate_w",
     "method",
 )
@@ -85,18 +83,7 @@ def normalize_source(text):
 
 
 def settings_fingerprint(settings):
-    """JSON-ready canonical dict of every analyzer knob.
-
-    Requires a *named* feasibility backend: backend instances carry
-    arbitrary state the fingerprint cannot see, so they cannot take
-    part in content addressing (the same restriction parallel
-    :func:`repro.batch.analyze_many` imposes, for the same reason).
-    """
-    if not isinstance(settings.feasibility, str):
-        raise AnalysisError(
-            "content addressing needs a named feasibility backend "
-            "('simplex' or 'fm'), not a backend instance"
-        )
+    """JSON-ready canonical dict of every analyzer knob."""
     fingerprint = {}
     for knob in sorted(f.name for f in fields(settings)):
         value = getattr(settings, knob)

@@ -2,9 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
-from repro.errors import AnalysisError
 from repro.lp import parse_program
 from repro.core import (
     AnalyzerSettings,
@@ -106,27 +103,6 @@ class TestSettings:
         )
         assert with_interarg.proved
         assert not without.proved
-
-    def test_fm_feasibility_path(self, merge_program):
-        result = analyze_program(
-            merge_program,
-            ("merge", 3),
-            "bbf",
-            settings=AnalyzerSettings(feasibility="fm"),
-        )
-        assert result.proved
-        node = AdornedPredicate(("merge", 3), "bbf")
-        weights = result.proof.proof_for(node).lambda_for(node)
-        assert weights[1] == weights[2] >= Fraction(1, 2)
-
-    def test_invalid_feasibility_rejected(self, merge_program):
-        with pytest.raises(AnalysisError):
-            analyze_program(
-                merge_program,
-                ("merge", 3),
-                "bbf",
-                settings=AnalyzerSettings(feasibility="newton"),
-            )
 
     def test_norm_selection(self):
         # Mergesort: UNKNOWN under structural, PROVED under list_length.

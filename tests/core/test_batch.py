@@ -3,7 +3,6 @@
 import pytest
 
 from repro.batch import BatchItem, BatchReport, analyze_many, as_batch_item
-from repro.core import AnalyzerSettings
 from repro.errors import AnalysisError
 
 APPEND = (
@@ -79,16 +78,6 @@ class TestSerialBatch:
         with pytest.raises(AnalysisError):
             analyze_many([(APPEND, ("append", 3), "bbf")], jobs=0)
 
-    def test_backend_instances_rejected_in_parallel(self):
-        from repro.solve import get_backend
-
-        settings = AnalyzerSettings(feasibility=get_backend("simplex"))
-        with pytest.raises(AnalysisError):
-            analyze_many(
-                [(APPEND, ("append", 3), "bbf")] * 2,
-                jobs=2, settings=settings,
-            )
-
 
 class TestParallelMatchesSerial:
     def test_full_corpus_jobs4_matches_serial(self):
@@ -112,11 +101,9 @@ class TestParallelMatchesSerial:
         for stage in serial.trace.stages():
             twin = parallel.trace.stage(stage.stage)
             assert (
-                stage.calls, stage.rows_in, stage.rows_out,
-                stage.pivots, stage.eliminations,
+                stage.calls, stage.rows_in, stage.rows_out, stage.pivots,
             ) == (
-                twin.calls, twin.rows_in, twin.rows_out,
-                twin.pivots, twin.eliminations,
+                twin.calls, twin.rows_in, twin.rows_out, twin.pivots,
             ), stage.stage
 
     def test_single_program_modes_split_across_workers(self):

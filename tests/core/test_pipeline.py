@@ -61,14 +61,6 @@ class TestTraces:
         assert trace.stage("dualize").rows_out > 0
         assert trace.total_time > 0
 
-    def test_fm_backend_reports_eliminations_in_trace(self):
-        result = analyze_program(
-            PERM, ("perm", 2), "bf",
-            settings=AnalyzerSettings(feasibility="fm"),
-        )
-        assert result.trace.stage("solve").eliminations > 0
-        assert result.trace.stage("solve").pivots == 0
-
     def test_failed_analysis_still_traced(self):
         result = analyze_program("p(X) :- p(X).", ("p", 1), "b")
         assert not result.proved
@@ -133,14 +125,6 @@ class TestEnvironmentCache:
 
 
 class TestEagerValidation:
-    def test_unknown_feasibility_fails_at_construction(self):
-        program = parse_program(PERM)
-        with pytest.raises(AnalysisError) as info:
-            TerminationAnalyzer(
-                program, settings=AnalyzerSettings(feasibility="newton")
-            )
-        assert "newton" in str(info.value)
-
     def test_unknown_norm_fails_at_construction_same_shape(self):
         program = parse_program(PERM)
         with pytest.raises(AnalysisError) as info:
@@ -150,13 +134,9 @@ class TestEagerValidation:
         assert "weight" in str(info.value)
 
     def test_settings_validate_directly(self):
-        norm, backend = AnalyzerSettings().validate()
-        assert norm.name == "structural"
-        assert backend.name == "simplex"
+        assert AnalyzerSettings().validate().name == "structural"
         with pytest.raises(AnalysisError):
             AnalyzerSettings(norm="weight").validate()
-        with pytest.raises(AnalysisError):
-            AnalyzerSettings(feasibility="newton").validate()
 
     def test_non_program_rejected(self):
         with pytest.raises(AnalysisError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main, parse_root
+from repro.core import clear_caches
 
 
 @pytest.fixture
@@ -112,6 +113,9 @@ class TestMain:
         assert "Pipeline stage trace" not in capsys.readouterr().out
 
     def test_all_modes_stats_merges_traces(self, tmp_path, capsys):
+        # Start cold: an earlier test may have left append/3's
+        # environment in the process-wide cache.
+        clear_caches()
         path = tmp_path / "modes.pl"
         path.write_text(
             ":- mode(append(b, b, f)).\n"

@@ -29,7 +29,6 @@ from repro.serve.protocol import payload_from_result, payload_text
 
 VARIANTS = {
     "default": AnalyzerSettings(),
-    "fm-feasibility": AnalyzerSettings(feasibility="fm"),
     "no-eliminate-w": AnalyzerSettings(eliminate_w=False),
     "negative-theta": AnalyzerSettings(allow_negative_theta=True),
 }

@@ -1,6 +1,6 @@
 """Pinned wire payloads: the corpus sweep's bytes may not drift.
 
-For each of the 42 corpus programs under six settings, the sha256 of
+For each of the 42 corpus programs under four settings, the sha256 of
 ``payload_text(payload_from_result(...))`` must equal the digest
 checked in beside this file (``payload_digests.json``).  A refactor of
 the linear-algebra or inference layers that changes a single inferred
@@ -27,10 +27,8 @@ DIGESTS = pathlib.Path(__file__).with_name("payload_digests.json")
 
 SETTINGS = {
     "default": AnalyzerSettings(),
-    "fm": AnalyzerSettings(feasibility="fm"),
     "negative-theta": AnalyzerSettings(allow_negative_theta=True),
     "no-eliminate-w": AnalyzerSettings(eliminate_w=False),
-    "no-prune-fm": AnalyzerSettings(prune_fm=False),
     "portfolio": AnalyzerSettings(method="portfolio"),
 }
 

@@ -1,7 +1,5 @@
 """Unit tests for the dense integer row kernel."""
 
-from fractions import Fraction
-
 import pytest
 
 from repro.linalg.constraints import Constraint, ConstraintSystem, EQ, GE
@@ -9,7 +7,6 @@ from repro.linalg.fourier_motzkin import FMBlowupError, eliminate_all_tracked
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.rows import (
     RowKernel,
-    StagedEliminator,
     flagged_rows,
     intern_variables,
     materialize,
@@ -246,44 +243,3 @@ class TestTrackedProject:
             eliminate_all_tracked(system, {"e"}, max_rows=3)
         check_projection(system, {"e"}, eliminate_all_tracked(system, {"e"}))
 
-
-class TestStagedEliminator:
-    def test_feasible_system_has_witness(self):
-        system = ConstraintSystem(
-            [
-                Constraint.ge(x() - 1),
-                Constraint.le(x() + y(), 10),
-                Constraint.eq(y(), 2 * x()),
-            ]
-        )
-        eliminator = StagedEliminator(system)
-        eliminator.run()
-        assert not eliminator.has_contradiction()
-        witness = eliminator.witness()
-        assert system.satisfied_by(witness)
-
-    def test_contradiction_detected(self):
-        system = ConstraintSystem(
-            [Constraint.ge(x() - 3), Constraint.le(x(), 1)]
-        )
-        eliminator = StagedEliminator(system)
-        eliminator.run()
-        assert eliminator.has_contradiction()
-
-    def test_equality_substitution_stays_integral(self):
-        # 2y = 3x forces fraction-valued substitution; integer Gaussian
-        # elimination must reach the same canonical projection.
-        system = ConstraintSystem(
-            [Constraint.eq(2 * y(), 3 * x()), Constraint.le(y(), 3)]
-        )
-        eliminator = StagedEliminator(system)
-        eliminator.run()
-        assert not eliminator.has_contradiction()
-        witness = eliminator.witness()
-        assert system.satisfied_by(witness)
-
-    def test_witness_uses_equality_bound(self):
-        system = ConstraintSystem([Constraint.eq(x(), 7)])
-        eliminator = StagedEliminator(system)
-        eliminator.run()
-        assert eliminator.witness() == {"x": Fraction(7)}

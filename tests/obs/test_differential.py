@@ -12,7 +12,7 @@ from repro.corpus import all_programs
 from repro.obs import METRICS
 
 STRUCTURAL = ("calls", "rows_in", "rows_out", "cache_hits",
-              "cache_misses", "pivots", "eliminations")
+              "cache_misses", "pivots")
 
 
 def _sweep():

@@ -1,13 +1,12 @@
 """The object-pipeline Fourier–Motzkin elimination, kept as the oracle.
 
-This is the elimination :mod:`repro.linalg.fourier_motzkin` and the
-``fm`` backend ran before every step moved onto the integer row engine
-of :mod:`repro.linalg.rows`: Gaussian substitution over ``Fraction``
+This is the elimination :mod:`repro.linalg.fourier_motzkin` ran before
+every step moved onto the integer row engine of
+:mod:`repro.linalg.rows`: Gaussian substitution over ``Fraction``
 expressions, pairwise combination on
 :class:`~repro.linalg.constraints.Constraint` objects, the greedy
-elimination cost, dominance pruning keyed on
-:class:`~repro.linalg.linexpr.LinearExpr` linear parts, and the
-Fraction interval witness.  The property tests in
+elimination cost, and dominance pruning keyed on
+:class:`~repro.linalg.linexpr.LinearExpr` linear parts.  The property tests in
 ``test_kernel_props.py`` require the engine to agree with it byte for
 byte — the same rows, in the same canonical form, in the same
 insertion order.  The tidy projection of ``eliminate_all_tracked``
@@ -203,49 +202,3 @@ def check_projection(system, variables, result):
     assert all(entails(want, row) for row in rows)
     assert len(oracle_prune(result)) == len(rows)
 
-
-def oracle_feasible_point(system, prune=True):
-    """The ``fm`` backend's solve on objects.
-
-    Returns ``(feasible, rows_out, witness)`` — the verdict, the row
-    count surviving full elimination, and (when feasible) the witness
-    recovered in reverse elimination order.
-    """
-    order = sorted(system.variables(), key=repr)
-    stages = [system]
-    for var in order:
-        stages.append(oracle_eliminate(stages[-1], var, prune=prune))
-    rows_out = len(stages[-1])
-    if stages[-1].has_contradiction_row():
-        return False, rows_out, None
-    point = {}
-    for var, stage in zip(reversed(order), reversed(stages[:-1])):
-        point[var] = _pick_value(stage, var, point)
-    return True, rows_out, point
-
-
-def _pick_value(system, var, partial):
-    """Choose a value for *var* consistent with *system*, where
-    *partial* already fixes every other variable of *system*."""
-    lower = None
-    upper = None
-    for constraint in system:
-        coeff = constraint.expr.coefficient(var)
-        if coeff == 0:
-            continue
-        rest = constraint.expr - LinearExpr.of(var, coeff)
-        rest_value = rest.evaluate(partial)
-        bound = -rest_value / coeff
-        if constraint.is_equality():
-            return bound
-        if coeff > 0:
-            lower = bound if lower is None else max(lower, bound)
-        else:
-            upper = bound if upper is None else min(upper, bound)
-    if lower is not None and upper is not None:
-        return (lower + upper) / 2
-    if lower is not None:
-        return lower
-    if upper is not None:
-        return upper
-    return Fraction(0)

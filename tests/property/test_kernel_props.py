@@ -8,8 +8,7 @@ canonical form, in the same insertion order.  These tests compare
 (with and without equalities, including systems every target of which
 is substituted away so ``=`` rows survive) and on systems the analysis
 really builds — the dualized Eq. 8 pairs of ``perm`` — and on the
-lifted convex-hull systems of the F8 workload, with the ``fm``
-backend's verdicts and witnesses on top.
+lifted convex-hull systems of the F8 workload.
 The tidy projection of ``eliminate_all_tracked`` (infeasible inputs
 included) must in addition be the oracle elimination's point set,
 irredundant, and ``-1 >= 0`` when empty.
@@ -30,13 +29,11 @@ from repro.linalg.fourier_motzkin import (
 )
 from repro.linalg.linexpr import LinearExpr
 from repro.lp import parse_program
-from repro.solve import get_backend
 
 from benchmarks.test_bench_kernel import hull_lift_workload
 from tests.property.fm_oracle import (
     check_projection,
     oracle_eliminate_all,
-    oracle_feasible_point,
     oracle_project,
 )
 from tests.property.strategies import (
@@ -86,15 +83,6 @@ def test_eliminate_byte_identical(system, var):
     )
 
 
-@given(constraint_systems(POOL), st.sampled_from(POOL))
-@settings(max_examples=80)
-def test_eliminate_unpruned_byte_identical(system, var):
-    assert identical(
-        eliminate_all(system, [var], prune=False),
-        oracle_eliminate_all(system, [var], prune=False),
-    )
-
-
 @given(defined_targets())
 @settings(max_examples=120, deadline=None)
 def test_substitution_only_byte_identical(case):
@@ -102,10 +90,6 @@ def test_substitution_only_byte_identical(case):
     assert identical(
         eliminate_all(system, targets),
         oracle_eliminate_all(system, targets),
-    )
-    assert identical(
-        eliminate_all(system, targets, prune=False),
-        oracle_eliminate_all(system, targets, prune=False),
     )
 
 
@@ -151,8 +135,7 @@ DOMINATED_WIDE = ConstraintSystem(
 )
 
 # Splitting the contradiction "0 = 1" must leave no trivially true
-# "1 >= 0" behind: unpruned, it would survive to the fm backend's
-# rows_out.
+# "1 >= 0" behind.
 CONTRADICTION = ConstraintSystem([
     Constraint.eq(LinearExpr.of("z"), 0),
     Constraint(LinearExpr.constant(1), EQ),
@@ -196,36 +179,6 @@ def test_tracked_elimination_byte_identical(system, targets):
     result = eliminate_all_tracked(system, targets)
     assert identical(result, oracle_project(system, targets))
     check_projection(system, targets, result)
-
-
-@given(constraint_systems(POOL))
-@settings(max_examples=80, deadline=None)
-def test_fm_backend_verdicts_identical(system):
-    """The ``fm`` backend: same feasibility verdict, same surviving
-    row count, the same witness — and the witness satisfies the
-    system."""
-    from_int = get_backend("fm").feasible_point(system)
-    feasible, rows_out, witness = oracle_feasible_point(system)
-    assert from_int.feasible == feasible
-    assert from_int.stats.rows_out == rows_out
-    if from_int.feasible:
-        assert from_int.witness == witness
-        assert system.satisfied_by(from_int.witness)
-
-
-@given(defined_targets(), st.booleans())
-@example((CONTRADICTION, ["z"]), False)
-@settings(max_examples=80, deadline=None)
-def test_fm_backend_equality_witnesses_identical(case, prune):
-    """The ``fm`` backend on systems whose first stages substitute:
-    verdict, surviving rows and witness match the oracle."""
-    system, _ = case
-    from_int = get_backend("fm", prune=prune).feasible_point(system)
-    feasible, rows_out, witness = oracle_feasible_point(system, prune=prune)
-    assert (from_int.feasible, from_int.stats.rows_out, from_int.witness) \
-        == (feasible, rows_out, witness)
-    if feasible:
-        assert system.satisfied_by(witness)
 
 
 # -- the F8 workload and systems the analysis builds --------------------------
@@ -281,7 +234,3 @@ def test_perm_eq8_pairs_byte_identical():
                 eliminate_all(system, [var]),
                 oracle_eliminate_all(system, [var]),
             )
-        feasible, rows_out, witness = oracle_feasible_point(system)
-        outcome = get_backend("fm").feasible_point(system)
-        assert (outcome.feasible, outcome.stats.rows_out, outcome.witness) \
-            == (feasible, rows_out, witness)

@@ -75,15 +75,6 @@ class TestRequestKey:
             APPEND, ("append", 3), "bbf"
         )
 
-    def test_backend_instances_rejected(self):
-        from repro.solve import get_backend
-
-        with pytest.raises(AnalysisError):
-            request_key(
-                APPEND, ("append", 3), "bbf",
-                AnalyzerSettings(feasibility=get_backend("simplex")),
-            )
-
     def test_fingerprint_covers_every_knob(self):
         from dataclasses import fields
 

@@ -173,6 +173,42 @@ class TestEndpoints:
         assert status == 400
         assert "unknown setting(s): fm_kernel" in text
 
+    def test_removed_lambda_solver_settings_are_400(self, tmp_path):
+        with serve(tmp_path) as (app, client):
+            for knob, value in (("feasibility", "fm"), ("prune_fm", False)):
+                body = {"source": APPEND, "root": "append/3",
+                        "mode": "bbf", "settings": {knob: value}}
+                status, _, text = client._request(
+                    "POST", "/v1/analyze", json.dumps(body).encode()
+                )
+                assert status == 400
+                assert "unknown setting(s): %s" % knob in text
+
+    def test_store_hit_skips_the_parse(self, tmp_path):
+        from unittest import mock
+
+        from repro.serve.protocol import AnalyzeRequest
+
+        real = AnalyzeRequest.parse
+        calls = []
+
+        def counting(request):
+            calls.append(request.root)
+            return real(request)
+
+        with mock.patch.object(AnalyzeRequest, "parse", counting):
+            with serve(tmp_path) as (app, client):
+                fresh = client.analyze(APPEND, ("append", 3), "bbf")
+                parsed = len(calls)
+                again = client.analyze(APPEND, ("append", 3), "bbf")
+                assert len(calls) == parsed
+                with pytest.raises(ServeError) as excinfo:
+                    client.analyze(APPEND, ("appendd", 3), "bbf")
+        assert parsed >= 1
+        assert again.cached and again.payload == fresh.payload
+        assert excinfo.value.status == 400
+        assert len(calls) == parsed + 1
+
     def test_undefined_root_is_400_with_message(self, tmp_path):
         with serve(tmp_path) as (app, client):
             with pytest.raises(ServeError) as excinfo:

@@ -1,25 +1,22 @@
-"""The solver backend layer: registry, statistics, and a differential
-property test — SimplexBackend and FourierMotzkinBackend must agree on
-feasibility over randomized small constraint systems, and every
-returned witness must actually satisfy the system."""
+"""The final feasibility step: statistics, and differential property
+tests — over randomized small constraint systems, SimplexBackend must
+agree on feasibility with the Fraction simplex oracle, every returned
+witness must actually satisfy the system, and full Fourier–Motzkin
+elimination must reach a contradiction exactly when the system is
+infeasible."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from repro.errors import AnalysisError
 from repro.linalg.constraints import Constraint, ConstraintSystem
+from repro.linalg.fourier_motzkin import eliminate_all
 from repro.linalg.linexpr import LinearExpr
-from repro.solve import (
-    FourierMotzkinBackend,
-    LPBackend,
-    SimplexBackend,
-    SolveOutcome,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.linalg.simplex import OPTIMAL
+from repro.solve import SimplexBackend, SolveOutcome
+
+from tests.property.simplex_oracle import oracle_solve
 
 
 def random_system(rng):
@@ -61,31 +58,9 @@ def random_system(rng):
     return system
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert "simplex" in available_backends()
-        assert "fm" in available_backends()
-
-    def test_get_backend_resolves(self):
-        assert isinstance(get_backend("simplex"), SimplexBackend)
-        assert isinstance(get_backend("fm"), FourierMotzkinBackend)
-
-    def test_unknown_backend_is_analysis_error(self):
-        with pytest.raises(AnalysisError) as info:
-            get_backend("newton")
-        assert "newton" in str(info.value)
-        assert "simplex" in str(info.value)  # lists the alternatives
-
-    def test_instance_passthrough(self):
-        backend = FourierMotzkinBackend(prune=False)
-        assert get_backend(backend) is backend
-
-    def test_register_rejects_non_backend(self):
-        with pytest.raises(TypeError):
-            register_backend(object)
-
-    def test_options_are_kept(self):
-        assert get_backend("fm", prune=False).options == {"prune": False}
+def oracle_feasible(system):
+    """Feasibility by the Fraction simplex tableau (zero objective)."""
+    return oracle_solve(LinearExpr.constant(0), system).status == OPTIMAL
 
 
 class TestOutcomes:
@@ -95,23 +70,20 @@ class TestOutcomes:
             Constraint.le(LinearExpr.of("x"), 5),
             Constraint.eq(LinearExpr.of("y"), LinearExpr.of("x", 2)),
         ])
-        for name in ("simplex", "fm"):
-            outcome = get_backend(name).feasible_point(system)
-            assert isinstance(outcome, SolveOutcome)
-            assert outcome.feasible
-            assert system.satisfied_by(outcome.witness)
-            assert outcome.stats.backend == name
-            assert outcome.stats.rows_in == len(system)
+        outcome = SimplexBackend().feasible_point(system)
+        assert isinstance(outcome, SolveOutcome)
+        assert outcome.feasible
+        assert system.satisfied_by(outcome.witness)
+        assert outcome.stats.rows_in == len(system)
 
     def test_infeasible_has_no_witness(self):
         system = ConstraintSystem([
             Constraint.ge(LinearExpr.of("x"), 3),
             Constraint.le(LinearExpr.of("x"), 1),
         ])
-        for name in ("simplex", "fm"):
-            outcome = get_backend(name).feasible_point(system)
-            assert not outcome.feasible
-            assert outcome.witness is None
+        outcome = SimplexBackend().feasible_point(system)
+        assert not outcome.feasible
+        assert outcome.witness is None
 
     def test_simplex_counts_pivots(self):
         system = ConstraintSystem([
@@ -121,73 +93,39 @@ class TestOutcomes:
         outcome = SimplexBackend().feasible_point(system)
         assert outcome.feasible
         assert outcome.stats.pivots > 0
-
-    def test_fm_counts_eliminations(self):
-        system = ConstraintSystem([
-            Constraint.ge(LinearExpr.of("x") + LinearExpr.of("y"), 1),
-            Constraint.le(LinearExpr.of("x"), 4),
-        ])
-        outcome = FourierMotzkinBackend().feasible_point(system)
-        assert outcome.feasible
-        assert outcome.stats.eliminations == 2
         assert outcome.stats.wall_time >= 0
+
+    def test_feasible_points_is_one_outcome_per_system_in_order(self):
+        rng = random.Random(7)
+        systems = [random_system(rng) for _ in range(8)]
+        backend = SimplexBackend()
+        outcomes = backend.feasible_points(systems)
+        assert [o.feasible for o in outcomes] == [
+            backend.feasible_point(system).feasible for system in systems
+        ]
 
 
 class TestDifferential:
-    """The two backends are different decision procedures for the same
-    question; they must never disagree."""
+    """Different decision procedures for the same question; they must
+    never disagree."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_backends_agree_and_witnesses_hold(self, seed):
         rng = random.Random(seed)
         system = random_system(rng)
-        outcomes = {
-            name: get_backend(name).feasible_point(system)
-            for name in ("simplex", "fm")
-        }
-        verdicts = {name: o.feasible for name, o in outcomes.items()}
-        assert verdicts["simplex"] == verdicts["fm"], str(system)
-        for name, outcome in outcomes.items():
-            if outcome.feasible:
-                assert system.satisfied_by(outcome.witness), (
-                    name, str(system), outcome.witness,
-                )
+        outcome = SimplexBackend().feasible_point(system)
+        assert outcome.feasible == oracle_feasible(system), str(system)
+        if outcome.feasible:
+            assert system.satisfied_by(outcome.witness), (
+                str(system), outcome.witness,
+            )
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_fm_prune_toggle_preserves_verdict(self, seed):
+    def test_full_elimination_agrees_with_simplex(self, seed):
         rng = random.Random(1000 + seed)
         system = random_system(rng)
-        pruned = FourierMotzkinBackend(prune=True).feasible_point(system)
-        unpruned = FourierMotzkinBackend(prune=False).feasible_point(system)
-        assert pruned.feasible == unpruned.feasible
-
-
-class TestCustomBackend:
-    def test_registered_custom_backend_reaches_analyzer(self):
-        calls = []
-
-        @register_backend
-        class CountingBackend(SimplexBackend):
-            name = "counting-test"
-
-            def feasible_point(self, system):
-                calls.append(len(system))
-                return super().feasible_point(system)
-
-        try:
-            from repro.core import AnalyzerSettings, analyze_program
-
-            result = analyze_program(
-                "p(s(N)) :- p(N).\np(0).", ("p", 1), "b",
-                settings=AnalyzerSettings(feasibility="counting-test"),
-            )
-            assert result.proved
-            assert calls  # the analyzer solved through the custom backend
-        finally:
-            from repro.solve.backend import _BACKENDS
-
-            _BACKENDS.pop("counting-test", None)
-
-    def test_abstract_backend_raises(self):
-        with pytest.raises(NotImplementedError):
-            LPBackend().feasible_point(ConstraintSystem())
+        eliminated = eliminate_all(system, list(system.variables()))
+        assert not eliminated.variables()
+        assert eliminated.has_contradiction_row() == (
+            not SimplexBackend().feasible_point(system).feasible
+        ), str(system)
