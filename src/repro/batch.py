@@ -264,9 +264,10 @@ def _make_chunks(indexed, jobs):
     """Group (index, item) pairs by source text, splitting any group
     further when there are fewer programs than workers.
 
-    Grouping preserves the worker-local analyzer reuse of the serial
-    sweep; splitting keeps all workers busy on the ``--all-modes``
-    shape (one program, many modes)."""
+    Grouping keeps a program's items in one worker, so they share its
+    parse and hit its process-wide environment cache (keyed by program
+    fingerprint); splitting keeps all workers busy on the
+    ``--all-modes`` shape (one program, many modes)."""
     groups = {}
     for index, item in indexed:
         groups.setdefault(item.source, []).append((index, item))
@@ -287,7 +288,7 @@ def _make_chunks(indexed, jobs):
 
 def _run_chunk(indexed, settings, baseline_names, incremental=False,
                certificates=None):
-    """Worker body: analyze one chunk, reusing the analyzer across
+    """Worker body: analyze one chunk, parsing once per run of
     consecutive items with identical source.
 
     Returns ``(results, trace, metrics_delta, cert_entries)`` — the

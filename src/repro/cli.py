@@ -213,7 +213,7 @@ def _run_cli(args):
         from repro.methods import available_methods, get_method
 
         for name in available_methods():
-            doc = (type(get_method(name)).__doc__ or "").strip()
+            doc = (get_method(name).__doc__ or "").strip()
             summary = doc.splitlines()[0] if doc else ""
             print("%-12s %s" % (name, summary))
         return 0

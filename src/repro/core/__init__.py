@@ -14,13 +14,15 @@ Pipeline (Sections 3–6 of the paper):
 4. :mod:`repro.core.theta` — choose the theta offsets for mutual
    recursion and reject zero-weight cycles via min-plus closure
    (Section 6.1); Appendix C negative-weight search as an option.
-5. :mod:`repro.core.pipeline` — the staged execution engine: named
+5. :mod:`repro.core.pipeline` — the analyzer (``AnalysisPipeline``,
+   also exported as ``TerminationAnalyzer``) and its settings: named
    stages (adorn, interarg, rule_systems, dualize, theta, solve,
-   certify) with per-stage traces and memoization; final feasibility
-   is decided by the exact simplex of :mod:`repro.solve`.
-6. :mod:`repro.core.analyzer` — settings + façade composing the
-   pipeline, returning :class:`~repro.core.certificate.TerminationProof`
-   certificates.
+   certify) with per-stage traces and memoization, returning
+   :class:`~repro.core.certificate.TerminationProof` certificates;
+   final feasibility is decided by the exact simplex of
+   :mod:`repro.solve`.
+6. :mod:`repro.core.analyzer` — query validation and the one-call
+   :func:`~repro.core.analyzer.analyze_program` entry point.
 7. :mod:`repro.core.verifier` — independently re-check certificates by
    solving the *primal* LP Eq. 4 with the exact simplex, and replay the
    loop witnesses behind DISPROVED verdicts.

@@ -1,4 +1,4 @@
-"""The termination analyzer: settings + orchestration façade.
+"""The termination analyzer: query validation and the one-call entry point.
 
 :func:`analyze_program` (or :class:`TerminationAnalyzer` for more
 control) runs the full pipeline of the paper:
@@ -21,8 +21,11 @@ control) runs the full pipeline of the paper:
 The staged execution itself lives in :mod:`repro.core.pipeline`
 (named stages, per-stage traces, memoization); the final feasibility
 test is the exact simplex of :mod:`repro.solve`.
-:class:`TerminationAnalyzer` composes the two and validates settings
-eagerly, so misconfiguration fails at construction, not mid-SCC.
+:class:`TerminationAnalyzer` is another name for
+:class:`~repro.core.pipeline.AnalysisPipeline`, which validates
+settings eagerly, so misconfiguration fails at construction, not
+mid-SCC.  This module adds the query validator and the one-call entry
+point.
 
 The verdict is ``PROVED`` or ``UNKNOWN`` — the method is a sufficient
 condition (Section 7); ``UNKNOWN`` never means "diverges".  The
@@ -33,11 +36,8 @@ derivations and whose ``portfolio`` driver races provers per SCC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import AnalysisError
 from repro.lp.program import Program
-from repro.interarg import InferenceSettings
 from repro.core.pipeline import (
     DISPROVED,
     PROVED,
@@ -45,9 +45,9 @@ from repro.core.pipeline import (
     AnalysisPipeline,
     AnalysisResult,
     AnalysisTrace,
+    AnalyzerSettings,
     SCCResult,
     StageTrace,
-    resolve_settings,
 )
 
 __all__ = [
@@ -117,87 +117,8 @@ def validate_query(program, root, mode):
     return (name, arity), mode
 
 
-@dataclass
-class AnalyzerSettings:
-    """Analyzer configuration (every knob is ablatable).
-
-    ``norm`` — term-size measure (``structural`` is the paper's).
-    ``use_interarg`` — import inter-argument constraints ([VG90]); off
-    reproduces the pre-[VG90] behaviour on Example 3.1.
-    ``allow_negative_theta`` — Appendix C search instead of the 0/1
-    assignment.
-    ``method`` — name of the :mod:`repro.methods` termination prover
-    drivers dispatch to (``argsize``, ``sizechange``, ``nonterm``, or
-    ``portfolio``).  ``argsize`` is the paper's pipeline and the
-    default; the setting participates in request/certificate cache
-    keys.  Validated at construction like ``norm``.
-    ``eliminate_w`` — True (default) runs the paper's practical route:
-    Fourier–Motzkin eliminates the undistinguished dual multipliers per
-    rule-subgoal pair ("in practice, Fourier-Motzkin elimination is
-    simple and adequate").  False keeps them — the paper's theoretical
-    variant: "to claim a theoretical polynomial time bound, we stop
-    with Eq. 8 and give the undistinguished variables w unique names" —
-    and one big LP decides feasibility.  Identical verdicts, different
-    cost profile.
-    """
-
-    norm: str = "structural"
-    use_interarg: bool = True
-    allow_negative_theta: bool = False
-    eliminate_w: bool = True
-    method: str = "argsize"
-    inference: InferenceSettings = field(default_factory=InferenceSettings)
-
-    def validate(self):
-        """Raise :class:`~repro.errors.AnalysisError` on an unknown norm
-        or method; return the resolved norm."""
-        return resolve_settings(self)
-
-
-class TerminationAnalyzer:
-    """Reusable analyzer bound to one program and settings.
-
-    Thin façade over :class:`~repro.core.pipeline.AnalysisPipeline`:
-    settings are validated (norm resolved) here, analyses
-    are delegated there.  Reusing one analyzer across modes reuses the
-    inferred inter-argument environment.
-    """
-
-    def __init__(self, program, settings=None, certificate_cache=None):
-        self.settings = settings or AnalyzerSettings()
-        self.pipeline = AnalysisPipeline(
-            program, self.settings, certificate_cache=certificate_cache
-        )
-        self.program = self.pipeline.program
-        self._norm = self.pipeline.norm
-
-    # -- inter-argument constraints -------------------------------------------
-
-    @property
-    def environment(self):
-        """Inter-argument constraints, inferred on first use."""
-        return self.pipeline.environment
-
-    def use_external_constraints(self, environment):
-        """Install externally supplied inter-argument constraints
-        (the paper's "supplied by other external means")."""
-        self.pipeline.use_external_constraints(environment)
-
-    # -- analysis -----------------------------------------------------------------
-
-    def analyze(self, root_indicator, root_mode, request_id=None):
-        """Analyze termination of the *root_mode* query on the root.
-
-        *request_id* threads an external correlation id onto the root
-        span (see :meth:`AnalysisPipeline.run`).
-        """
-        return self.pipeline.run(
-            root_indicator, root_mode, request_id=request_id
-        )
-
-    def analyze_scc(self, members, trace=None):
-        """Run Sections 3–6 for one recursive SCC of adorned nodes."""
-        return self.pipeline.analyze_scc(members, trace=trace)
+#: The analyzer is the pipeline: one class, two names.
+TerminationAnalyzer = AnalysisPipeline
 
 
 def analyze_program(program, root, mode, settings=None):

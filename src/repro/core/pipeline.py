@@ -43,6 +43,7 @@ from repro.graph.scc import is_recursive_component, strongly_connected_component
 from repro.sizes.norms import get_norm
 from repro.solve import SimplexBackend
 from repro.interarg import (
+    InferenceSettings,
     SizeEnvironment,
     infer_interargument_constraints,
 )
@@ -438,6 +439,43 @@ def clear_caches():
     _ENV_CACHE.clear()
 
 
+@dataclass
+class AnalyzerSettings:
+    """Analyzer configuration (every knob is ablatable).
+
+    ``norm`` — term-size measure (``structural`` is the paper's).
+    ``use_interarg`` — import inter-argument constraints ([VG90]); off
+    reproduces the pre-[VG90] behaviour on Example 3.1.
+    ``allow_negative_theta`` — Appendix C search instead of the 0/1
+    assignment.
+    ``method`` — name of the :mod:`repro.methods` termination prover
+    drivers dispatch to (``argsize``, ``sizechange``, ``nonterm``, or
+    ``portfolio``).  ``argsize`` is the paper's pipeline and the
+    default; the setting participates in request/certificate cache
+    keys.  Validated at construction like ``norm``.
+    ``eliminate_w`` — True (default) runs the paper's practical route:
+    Fourier–Motzkin eliminates the undistinguished dual multipliers per
+    rule-subgoal pair ("in practice, Fourier-Motzkin elimination is
+    simple and adequate").  False keeps them — the paper's theoretical
+    variant: "to claim a theoretical polynomial time bound, we stop
+    with Eq. 8 and give the undistinguished variables w unique names" —
+    and one big LP decides feasibility.  Identical verdicts, different
+    cost profile.
+    """
+
+    norm: str = "structural"
+    use_interarg: bool = True
+    allow_negative_theta: bool = False
+    eliminate_w: bool = True
+    method: str = "argsize"
+    inference: InferenceSettings = field(default_factory=InferenceSettings)
+
+    def validate(self):
+        """Raise :class:`~repro.errors.AnalysisError` on an unknown norm
+        or method; return the resolved norm."""
+        return resolve_settings(self)
+
+
 def resolve_settings(settings):
     """Validate analyzer settings eagerly; return the resolved norm.
 
@@ -449,15 +487,10 @@ def resolve_settings(settings):
         norm = get_norm(settings.norm)
     except ValueError as error:
         raise AnalysisError("invalid analyzer settings: %s" % error) from None
-    method = getattr(settings, "method", "argsize")
     # Lazy import: repro.methods imports repro.core, not vice versa.
-    from repro.methods import available_methods
+    from repro.methods import get_method
 
-    if method not in available_methods():
-        raise AnalysisError(
-            "unknown termination method %r; choose from %s"
-            % (method, ", ".join(available_methods()))
-        )
+    get_method(settings.method)
     return norm
 
 
@@ -498,21 +531,24 @@ class _PreparedSCC:
 
 
 class AnalysisPipeline:
-    """Staged execution engine bound to one program + settings.
+    """The analyzer: staged execution bound to one program + settings.
 
-    :class:`~repro.core.analyzer.TerminationAnalyzer` composes this;
-    callers wanting per-stage control or traces can drive it directly.
+    Settings are validated (norm and method resolved) at construction,
+    so misconfiguration fails here, not mid-SCC; *settings* defaults to
+    :class:`AnalyzerSettings`.  Reusing one object across modes reuses
+    its inferred inter-argument environment.  Exported as
+    :class:`~repro.core.analyzer.TerminationAnalyzer` too.
     """
 
     PROGRAM_STAGES = ("adorn", "interarg")
     SCC_STAGES = ("rule_systems", "dualize", "theta", "solve", "certify")
 
-    def __init__(self, program, settings, certificate_cache=None):
+    def __init__(self, program, settings=None, certificate_cache=None):
         if not isinstance(program, Program):
             raise AnalysisError("expected a Program")
         self.program = program
-        self.settings = settings
-        self.norm = resolve_settings(settings)
+        self.settings = settings or AnalyzerSettings()
+        self.norm = resolve_settings(self.settings)
         self.certificate_cache = certificate_cache
         self._environment = None
         self._environment_key = None
@@ -526,7 +562,7 @@ class AnalysisPipeline:
             self.norm.name,
             bool(s.allow_negative_theta),
             bool(s.eliminate_w),
-            getattr(s, "method", "argsize"),
+            s.method,
         )
 
     # -- inter-argument constraints ------------------------------------------
@@ -579,7 +615,7 @@ class AnalysisPipeline:
 
     # -- program-level stages -------------------------------------------------
 
-    def run(self, root_indicator, root_mode, request_id=None):
+    def analyze(self, root_indicator, root_mode, request_id=None):
         """Full analysis of the *root_mode* query on the root.
 
         *request_id*, when given (the serve layer always passes one),
@@ -729,7 +765,7 @@ class AnalysisPipeline:
         with ``.result`` already set.
         """
         state = _SCCState(members=tuple(members))
-        prepared = _PreparedSCC(state=state)
+        prepared = _PreparedSCC(state)
         with trace.span(
             "scc", members=", ".join(str(m) for m in state.members)
         ) as scc_span:

@@ -1,10 +1,12 @@
-"""The paper's argument-size analysis as a registered method.
+"""The paper's argument-size analysis as a termination method.
 
-A thin adapter over :class:`~repro.core.analyzer.TerminationAnalyzer`
-— the Sohn & Van Gelder pipeline becomes one prover among several,
+A thin adapter over :class:`~repro.core.pipeline.AnalysisPipeline` —
+the Sohn & Van Gelder pipeline becomes one prover among several,
 with no behaviour change: verdicts, certificates, traces, and
 certificate-cache interaction are exactly those of the pipeline (the
-identity is pinned by tests against the 42-program corpus).
+identity is pinned by tests against the 42-program corpus).  Each
+query builds its own pipeline; a program analyzed again recalls its
+inter-argument environment from the process-wide cache.
 
 Guarantee: ``PROVED`` comes with a verifiable lambda certificate;
 ``UNKNOWN`` never means "diverges"; ``DISPROVED`` is never emitted.
@@ -14,37 +16,23 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.analyzer import AnalyzerSettings, TerminationAnalyzer
-from repro.methods.base import TerminationMethod, register_method
+from repro.core.pipeline import AnalysisPipeline, AnalyzerSettings
+from repro.methods.base import TerminationMethod
 
 
-@register_method
 class ArgSizeMethod(TerminationMethod):
     """Linear argument-size ranking via LP duality (the paper)."""
 
     name = "argsize"
-    cost = 10
 
     def analyze(self, program, root, mode, settings=None,
-                certificate_cache=None, request_id=None, state=None):
-        settings = settings or AnalyzerSettings()
-        if getattr(settings, "method", "argsize") != "argsize":
-            # Normalize so certificate fingerprints stay honest when the
-            # portfolio (or any other method) delegates here: the same
-            # argument-size proof gets the same cache key either way.
-            settings = replace(settings, method="argsize")
-        analyzer = None
-        if state is not None:
-            cached = state.get("argsize.analyzer")
-            if cached is not None and cached[0] is program:
-                analyzer = cached[1]
-        if analyzer is None:
-            analyzer = TerminationAnalyzer(
-                program, settings=settings,
-                certificate_cache=certificate_cache,
-            )
-            if state is not None:
-                state["argsize.analyzer"] = (program, analyzer)
-        result = analyzer.analyze(tuple(root), mode, request_id=request_id)
+                certificate_cache=None, request_id=None):
+        # Normalize so certificate fingerprints stay honest when the
+        # portfolio delegates here: the same argument-size proof gets
+        # the same cache key either way.
+        settings = replace(settings or AnalyzerSettings(), method=self.name)
+        result = AnalysisPipeline(
+            program, settings, certificate_cache=certificate_cache
+        ).analyze(tuple(root), mode, request_id=request_id)
         result.method = self.name
         return result

@@ -70,14 +70,15 @@ import itertools
 from typing import NamedTuple
 
 from repro.core.adornment import adorned_call_graph
-from repro.core.analyzer import AnalyzerSettings
 from repro.core.certificate import LoopEntry, LoopWitness
 from repro.core.pipeline import (
     DISPROVED,
     UNKNOWN,
     AnalysisResult,
     AnalysisTrace,
+    AnalyzerSettings,
     SCCResult,
+    resolve_settings,
 )
 from repro.core.verifier import VerificationError, is_pure_program, verify_loop
 from repro.lp.program import BUILTIN_PREDICATES
@@ -90,7 +91,7 @@ from repro.lp.unify import (
     substitute,
     unify,
 )
-from repro.methods.base import TerminationMethod, register_method
+from repro.methods.base import TerminationMethod
 
 #: Derived binary clauses the closure explores.
 COMPOSE_LIMIT = 512
@@ -404,16 +405,14 @@ def _canonical_reason(template, *terms):
 # -- the method ---------------------------------------------------------------
 
 
-@register_method
 class NonTerminationMethod(TerminationMethod):
     """Find a static looping derivation; three-valued DISPROVED/UNKNOWN."""
 
     name = "nonterm"
-    cost = 30
 
     def analyze(self, program, root, mode, settings=None,
-                certificate_cache=None, request_id=None, state=None):
-        settings = settings or AnalyzerSettings()
+                certificate_cache=None, request_id=None):
+        norm = resolve_settings(settings or AnalyzerSettings()).name
         root = tuple(root)
         mode = str(mode)
         trace = AnalysisTrace()
@@ -431,7 +430,7 @@ class NonTerminationMethod(TerminationMethod):
                     program, root, mode, UNKNOWN,
                     "program uses cut, negation, or a non-monotone "
                     "builtin; the loop criteria would be unsound under "
-                    "pruning", None, members, nodes, settings, trace,
+                    "pruning", None, members, nodes, norm, trace,
                 )
             with trace.span("nonterm.static"):
                 static = find_static_loops(program, root, mode)
@@ -446,11 +445,11 @@ class NonTerminationMethod(TerminationMethod):
                 )
             return self._result(
                 program, root, mode, status, reason, witness, members,
-                nodes, settings, trace,
+                nodes, norm, trace,
             )
 
     def _result(self, program, root, mode, status, reason, witness,
-                members, nodes, settings, trace):
+                members, nodes, norm, trace):
         return AnalysisResult(
             program=program,
             root=root,
@@ -465,7 +464,7 @@ class NonTerminationMethod(TerminationMethod):
             )],
             nodes=tuple(nodes),
             environment=None,
-            norm=settings.norm,
+            norm=norm,
             trace=trace,
             method=self.name,
         )

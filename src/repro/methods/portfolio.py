@@ -1,7 +1,7 @@
 """Per-SCC portfolio driver: cheapest prover first, first conclusive
 answer wins, provenance recorded per SCC.
 
-Stage order (by method ``cost``):
+Stage order (fixed):
 
 1. ``argsize`` — the paper's certifying analysis, run first and in
    full (it also benefits from the certificate cache; its sub-run uses
@@ -27,68 +27,48 @@ SCC; sub-method attempts are instrumented through the standard
 
 from __future__ import annotations
 
-from repro.core.analyzer import AnalyzerSettings
 from repro.core.pipeline import (
     DISPROVED,
     PROVED,
     UNKNOWN,
     AnalysisResult,
     AnalysisTrace,
+    AnalyzerSettings,
 )
-from repro.methods.base import (
-    TerminationMethod,
-    get_method,
-    observed_analyze,
-    register_method,
-)
+from repro.methods.argsize import ArgSizeMethod
+from repro.methods.base import TerminationMethod, observed_analyze
+from repro.methods.nonterm import NonTerminationMethod
+from repro.methods.sizechange import SizeChangeMethod
 
 
-@register_method
 class PortfolioMethod(TerminationMethod):
     """Race argsize, sizechange, and nonterm; record who decided."""
 
     name = "portfolio"
-    cost = 40
-
-    def _members(self, state):
-        if state is None:
-            state = {}
-        methods = state.get("portfolio.methods")
-        if methods is None:
-            methods = {
-                name: get_method(name)
-                for name in ("argsize", "sizechange", "nonterm")
-            }
-            state["portfolio.methods"] = methods
-        return methods, state
 
     def analyze(self, program, root, mode, settings=None,
-                certificate_cache=None, request_id=None, state=None):
+                certificate_cache=None, request_id=None):
         settings = settings or AnalyzerSettings()
-        methods, state = self._members(state)
         root = tuple(root)
         mode = str(mode)
         sub_results = []
 
-        def attempt(name):
+        def attempt(method, cache=None):
             result = observed_analyze(
-                methods[name], program, root, mode, settings=settings,
-                certificate_cache=(
-                    certificate_cache if name == "argsize" else None
-                ),
-                request_id=request_id, state=state,
+                method, program, root, mode, settings=settings,
+                certificate_cache=cache, request_id=request_id,
             )
             sub_results.append(result)
             return result
 
-        argsize = attempt("argsize")
+        argsize = attempt(ArgSizeMethod(), certificate_cache)
         merged = list(argsize.scc_results)
         for scc in merged:
             scc.method = scc.method or "argsize"
         status = argsize.status
 
         if status != PROVED:
-            sizechange = attempt("sizechange")
+            sizechange = attempt(SizeChangeMethod())
             rescued = {
                 frozenset(r.members): r
                 for r in sizechange.scc_results if r.proved
@@ -101,7 +81,7 @@ class PortfolioMethod(TerminationMethod):
                 status = PROVED
 
         if status != PROVED:
-            nonterm = attempt("nonterm")
+            nonterm = attempt(NonTerminationMethod())
             if nonterm.status == DISPROVED:
                 status = DISPROVED
                 disproved = [

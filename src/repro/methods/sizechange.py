@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.adornment import adorned_call_graph
-from repro.core.analyzer import AnalyzerSettings
 from repro.core.certificate import SCCProof
 from repro.core.pipeline import (
     PROVED,
@@ -51,6 +50,7 @@ from repro.core.pipeline import (
     AnalysisPipeline,
     AnalysisResult,
     AnalysisTrace,
+    AnalyzerSettings,
     SCCResult,
 )
 from repro.core.rule_system import scc_rule_systems
@@ -60,7 +60,7 @@ from repro.graph.scc import (
 )
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
-from repro.methods.base import TerminationMethod, register_method
+from repro.methods.base import TerminationMethod
 from repro.solve import SimplexBackend
 
 #: Per-SCC budgets (degrade to UNKNOWN, never block).
@@ -68,15 +68,13 @@ CLOSURE_LIMIT = 2048
 LP_CALLS = 64
 
 
-@register_method
 class SizeChangeMethod(TerminationMethod):
     """Size-change termination over bound argument positions."""
 
     name = "sizechange"
-    cost = 20
 
     def analyze(self, program, root, mode, settings=None,
-                certificate_cache=None, request_id=None, state=None):
+                certificate_cache=None, request_id=None):
         settings = settings or AnalyzerSettings()
         base = replace(settings, method="argsize")
         # The pipeline supplies exactly the shared machinery needed —

@@ -476,11 +476,12 @@ class ServeApp:
         try:
             request = AnalyzeRequest.from_wire(wire)
             # The store holds only answers to requests that parsed and
-            # validated, so a hit skips the parse.
+            # validated, so a hit skips the parse; a miss parses here,
+            # once, so a bad source or root is a 400 before a worker
+            # is taken.
             key = request.key()
             cached = self.store.get(key)
-            if cached is None:
-                request.parse()
+            program = request.parse() if cached is None else None
         except ReproError as error:
             ctx.error = str(error)
             await self._respond(
@@ -514,7 +515,7 @@ class ServeApp:
         self._idle.clear()
         try:
             status, payload_bytes, scc = await self._solve(
-                ctx, request, key
+                ctx, request, key, program
             )
         finally:
             self.inflight -= 1
@@ -541,9 +542,9 @@ class ServeApp:
             ctx, writer, status, body, extra_headers=tuple(headers)
         )
 
-    async def _solve(self, ctx, request, key):
-        """Run one admitted solve; returns (status, body bytes, scc
-        reuse stats or None)."""
+    async def _solve(self, ctx, request, key, program):
+        """Run one admitted solve of the parsed *program*; returns
+        (status, body bytes, scc reuse stats or None)."""
         tracer = Tracer()
         cache_dir = self.store.root if request.incremental else None
         scc = None
@@ -557,7 +558,7 @@ class ServeApp:
                              lane=self.pool.lane) as serve_span:
                 future = self.pool.submit(
                     request, self.request_timeout, cache_dir,
-                    ctx.request_id,
+                    ctx.request_id, program,
                 )
                 try:
                     payload, roots, delta, scc, timings = (
@@ -576,7 +577,7 @@ class ServeApp:
                             asyncio.wrap_future(
                                 self.pool.submit_serial(
                                     request, self.request_timeout,
-                                    cache_dir, ctx.request_id,
+                                    cache_dir, ctx.request_id, program,
                                 )
                             ),
                             timeout=self.request_timeout,

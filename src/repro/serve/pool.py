@@ -83,7 +83,8 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous_handler)
 
 
-def solve_wire(wire, timeout=None, cache_dir=None, request_id=None):
+def solve_wire(wire, timeout=None, cache_dir=None, request_id=None,
+               program=None):
     """Worker body: solve one wire-format request.
 
     Returns ``(payload, roots, metrics_delta, scc_stats, timings)`` —
@@ -104,12 +105,16 @@ def solve_wire(wire, timeout=None, cache_dir=None, request_id=None):
     *request_id* lands on the root ``analyze`` span, joining the
     worker-side trace to the server's access-log line.  The payload is
     byte-identical either way; only wall time and the stats differ.
+    *program*, when given, is the request's already parsed and
+    validated program (the serial lane); otherwise the source is
+    parsed here.
     """
     request = (
         wire if isinstance(wire, AnalyzeRequest)
         else AnalyzeRequest.from_wire(wire)
     )
-    program = request.parse()
+    if program is None:
+        program = request.parse()
     before = METRICS.snapshot()
     store = None
     certificate_cache = None
@@ -180,8 +185,13 @@ class SolverPool:
             if METRICS.enabled:
                 METRICS.counter("serve.pool.degraded").inc()
 
-    def submit(self, wire, timeout=None, cache_dir=None, request_id=None):
-        """A :class:`concurrent.futures.Future` for the solve."""
+    def submit(self, wire, timeout=None, cache_dir=None, request_id=None,
+               program=None):
+        """A :class:`concurrent.futures.Future` for the solve.
+
+        *program*, the request's parsed program, is used on the serial
+        lane only: programs do not cross process boundaries, so a pool
+        worker parses its own copy."""
         if self.lane == "process":
             try:
                 return self._process.submit(
@@ -190,16 +200,16 @@ class SolverPool:
             except (OSError, RuntimeError):
                 self._note_degraded()
         return self._serial.submit(
-            solve_wire, wire, timeout, cache_dir, request_id
+            solve_wire, wire, timeout, cache_dir, request_id, program
         )
 
     def submit_serial(self, wire, timeout=None, cache_dir=None,
-                      request_id=None):
+                      request_id=None, program=None):
         """Force the serial lane (the retry path after a broken pool
         surfaced at result time rather than submit time)."""
         self._note_degraded()
         return self._serial.submit(
-            solve_wire, wire, timeout, cache_dir, request_id
+            solve_wire, wire, timeout, cache_dir, request_id, program
         )
 
     def shutdown(self):

@@ -63,6 +63,15 @@ WIRE_SETTINGS = (
     "method",
 )
 
+#: The request's on/off switches: JSON booleans only (``"false"`` is a
+#: truthy string, not off).
+_WIRE_FLAGS = (
+    "use_interarg",
+    "allow_negative_theta",
+    "eliminate_w",
+    "incremental",
+)
+
 
 def normalize_source(text):
     """Canonical form of program text for content addressing.
@@ -218,6 +227,13 @@ class AnalyzeRequest:
                 "unknown setting(s): %s; settable over the wire: %s"
                 % (", ".join(bad), ", ".join(WIRE_SETTINGS))
             )
+        flags = dict(overrides, incremental=data.get("incremental", False))
+        for name in _WIRE_FLAGS:
+            if name in flags and not isinstance(flags[name], bool):
+                raise AnalysisError(
+                    "%r must be a JSON boolean (true or false), got %r"
+                    % (name, flags[name])
+                )
         try:
             settings = replace(AnalyzerSettings(), **overrides)
             settings.validate()
@@ -230,7 +246,7 @@ class AnalyzeRequest:
             root=_parse_root(data["root"]),
             mode=str(data["mode"]),
             settings=settings,
-            incremental=bool(data.get("incremental", False)),
+            incremental=flags["incremental"],
         )
 
     def to_wire(self):

@@ -167,9 +167,15 @@ class TestNormThreading:
 class TestPipelineDirectly:
     def test_pipeline_is_reusable_across_modes(self):
         pipeline = AnalysisPipeline(parse_program(PERM), AnalyzerSettings())
-        forward = pipeline.run(("append", 3), "bbf")
-        backward = pipeline.run(("append", 3), "ffb")
+        forward = pipeline.analyze(("append", 3), "bbf")
+        backward = pipeline.analyze(("append", 3), "ffb")
         assert forward.proved and backward.proved
+
+    def test_termination_analyzer_is_the_pipeline(self):
+        import repro
+        import repro.core.pipeline
+
+        assert repro.TerminationAnalyzer is repro.core.pipeline.AnalysisPipeline
 
     def test_analyze_scc_accepts_shared_trace(self):
         from repro.core.adornment import AdornedPredicate

@@ -10,7 +10,6 @@ from repro.lp import parse_program
 from repro.methods import (
     ArgSizeMethod,
     MethodRunner,
-    TerminationMethod,
     available_methods,
     get_method,
 )
@@ -29,10 +28,6 @@ class TestRegistry:
         assert isinstance(method, ArgSizeMethod)
         assert method.name == "argsize"
 
-    def test_instances_pass_through(self):
-        method = ArgSizeMethod()
-        assert get_method(method) is method
-
     def test_unknown_method_lists_choices(self):
         with pytest.raises(AnalysisError) as excinfo:
             get_method("magic")
@@ -47,17 +42,6 @@ class TestRegistry:
             assert not inspect.signature(type(get_method(name))).parameters
         with pytest.raises(TypeError):
             get_method("sizechange", closure_limit=7)
-
-    def test_methods_are_cost_ordered(self):
-        costs = [get_method(name).cost for name in
-                 ("argsize", "sizechange", "nonterm", "portfolio")]
-        assert costs == sorted(costs)
-
-    def test_register_rejects_non_methods(self):
-        from repro.methods.base import register_method
-
-        with pytest.raises(TypeError):
-            register_method(object)
 
 
 class TestSettingsValidation:
@@ -77,6 +61,29 @@ class TestSettingsValidation:
     def test_runner_construction_rejects_unknown_method(self):
         with pytest.raises(AnalysisError):
             MethodRunner(settings=AnalyzerSettings(method="nope"))
+
+    @pytest.mark.parametrize("method", ["argsize", "sizechange",
+                                        "nonterm", "portfolio"])
+    def test_runner_construction_rejects_unknown_norm(self, method):
+        with pytest.raises(AnalysisError) as excinfo:
+            MethodRunner(AnalyzerSettings(method=method, norm="bogus"))
+        assert "bogus" in str(excinfo.value)
+
+    def test_unhashable_method_is_an_analysis_error(self):
+        with pytest.raises(AnalysisError):
+            AnalyzerSettings(method=["argsize"]).validate()
+
+    def test_one_unknown_method_message(self):
+        messages = set()
+        for attempt in (
+            lambda: get_method("nope"),
+            lambda: AnalyzerSettings(method="nope").validate(),
+            lambda: MethodRunner(AnalyzerSettings(method="nope")),
+        ):
+            with pytest.raises(AnalysisError) as excinfo:
+                attempt()
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
 
     def test_method_participates_in_settings_fingerprint(self):
         from repro.serve.protocol import settings_fingerprint
@@ -98,23 +105,15 @@ class TestRunner:
         assert result.status == "DISPROVED"
         assert result.method == "nonterm"
 
+    def test_nonterm_reports_its_norm(self):
+        runner = MethodRunner(
+            AnalyzerSettings(method="nonterm", norm="list_length")
+        )
+        result = runner.analyze(parse_program(LOOP), ("p", 1), "b")
+        assert result.norm == "list_length"
+
     def test_runner_defaults_to_argsize(self):
         program = parse_program("q(a).\n")
         result = MethodRunner().analyze(program, ("q", 1), "b")
         assert result.status == "PROVED"
         assert result.method == "argsize"
-
-    def test_custom_method_subclass_registers(self):
-        from repro.methods.base import _METHODS, register_method
-
-        @register_method
-        class EchoMethod(TerminationMethod):
-            name = "echo-test"
-
-            def analyze(self, program, root, mode, **kwargs):
-                return "echo"
-
-        try:
-            assert get_method("echo-test").analyze(None, None, None) == "echo"
-        finally:
-            _METHODS.pop("echo-test", None)

@@ -44,10 +44,11 @@ class SlowPool(SolverPool):
         self.delay = delay
 
     def submit(self, wire, timeout=None, cache_dir=None,
-               request_id=None):
+               request_id=None, program=None):
         def stalled():
             time.sleep(self.delay)
-            return solve_wire(wire, timeout, cache_dir, request_id)
+            return solve_wire(wire, timeout, cache_dir, request_id,
+                              program)
 
         return self._serial.submit(stalled)
 
@@ -183,6 +184,40 @@ class TestEndpoints:
                 )
                 assert status == 400
                 assert "unknown setting(s): %s" % knob in text
+
+    def test_non_boolean_switches_are_400(self, tmp_path):
+        base = {"source": APPEND, "root": "append/3", "mode": "bbf"}
+        with serve(tmp_path) as (app, client):
+            for knob, body in (
+                ("allow_negative_theta",
+                 dict(base, settings={"allow_negative_theta": "false"})),
+                ("use_interarg", dict(base, settings={"use_interarg": 0})),
+                ("eliminate_w",
+                 dict(base, settings={"eliminate_w": "true"})),
+                ("incremental", dict(base, incremental="false")),
+            ):
+                status, _, text = client._request(
+                    "POST", "/v1/analyze", json.dumps(body).encode()
+                )
+                assert status == 400, (knob, text)
+                assert knob in text and "boolean" in text
+
+    def test_a_store_miss_parses_once(self, tmp_path):
+        from unittest import mock
+
+        import repro.serve.protocol as protocol
+
+        real = protocol.parse_program
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        with mock.patch.object(protocol, "parse_program", counting):
+            with serve(tmp_path) as (app, client):
+                client.analyze(APPEND, ("append", 3), "bbf")
+        assert len(calls) == 1
 
     def test_store_hit_skips_the_parse(self, tmp_path):
         from unittest import mock
