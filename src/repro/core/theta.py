@@ -10,7 +10,13 @@ dependency graph has positive weight*.  The paper's procedure:
 
 1. set ``theta_ij = 0`` (i != j) where the dual constraints force it —
    we test this semantically: if the edge's pair systems together with
-   lambda >= 0 cannot tolerate ``theta_ij = 1``, it is forced to 0;
+   lambda >= 0 cannot tolerate ``theta_ij = 1``, it is forced to 0.
+   One LP pins the first unsettled edge's theta to 1.  A point it finds
+   also settles every unsettled edge whose theta is 1 there, or
+   positive when no row has a constant term: the solutions then form a
+   cone, and ``x / x[theta_f]`` pins ``theta_f = 1``.  The dual system
+   of Eqs. 5–9 is homogeneous, so one LP settles every edge of a ring
+   SCC.  Only an infeasible LP of its own sets an edge to 0;
 2. set every other theta to 1;
 3. run the min-plus closure (Floyd's algorithm) and reject zero-weight
    cycles ("strong evidence of nontermination").
@@ -34,7 +40,7 @@ from fractions import Fraction
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.fourier_motzkin import eliminate_all
 from repro.linalg.linexpr import LinearExpr
-from repro.linalg.simplex import is_feasible
+from repro.linalg.simplex import feasible_point
 from repro.graph.minplus import find_nonpositive_cycle
 from repro.core.dual import theta_var
 
@@ -47,27 +53,31 @@ def choose_thetas(edges, combined_system, lambda_system):
     the union of all pairs' lambda/theta constraints;
     *lambda_system* carries the lambda >= 0 rows.
 
-    Returns ``{edge: Fraction}``.  Self-loops are always 1.
+    Returns ``{edge: Fraction}`` in ``repr`` order.  Self-loops are
+    always 1; a cross edge is 1 exactly when the duals tolerate
+    ``theta = 1`` on it, found as step 1 of the module docstring says.
     """
-    thetas = {}
-    for edge in sorted(set(edges), key=repr):
-        i, j = edge
-        if i == j:
-            thetas[edge] = Fraction(1)
-            continue
-        if _tolerates_one(edge, combined_system, lambda_system):
-            thetas[edge] = Fraction(1)
-        else:
+    ordered = sorted(set(edges), key=repr)
+    thetas = dict.fromkeys(ordered, Fraction(1))
+    open_edges = [edge for edge in ordered if edge[0] != edge[1]]
+    if not open_edges:
+        return thetas
+    rows = list(ConstraintSystem([*combined_system, *lambda_system]))
+    cone = all(row.const == 0 for row in rows)
+    while open_edges:
+        edge = open_edges.pop(0)
+        pin = Constraint.eq(LinearExpr.of(theta_var(*edge)), 1)
+        point = feasible_point(rows + [pin])
+        if point is None:
             thetas[edge] = Fraction(0)
+            continue
+        still_open = []
+        for other in open_edges:
+            value = point.get(theta_var(*other), 0)
+            if value != 1 and not (cone and value > 0):
+                still_open.append(other)
+        open_edges = still_open
     return thetas
-
-
-def _tolerates_one(edge, combined_system, lambda_system):
-    """Can this edge's theta be 1 without contradicting the duals?"""
-    probe = ConstraintSystem(combined_system)
-    probe.extend(lambda_system)
-    probe.add(Constraint.eq(LinearExpr.of(theta_var(*edge)), 1))
-    return is_feasible(probe)
 
 
 def zero_weight_cycle(members, thetas):

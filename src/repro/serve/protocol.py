@@ -155,22 +155,30 @@ def request_key(source, root, mode, settings=None, revision=None):
 
 
 def _parse_root(value):
-    """Accept ``"name/arity"`` or ``[name, arity]``."""
+    """Accept ``"name/arity"`` or ``[name, arity]``: a JSON string
+    name and a JSON integer arity ``>= 0`` (not a boolean)."""
     if isinstance(value, str):
         name, _, arity = value.rpartition("/")
-        if name and arity.isdigit():
+        if name and arity.isascii() and arity.isdigit():
             return (name, int(arity))
         raise AnalysisError(
             "root must look like name/arity, got %r" % value
         )
-    try:
+    if isinstance(value, list) and len(value) == 2:
         name, arity = value
-        return (str(name), int(arity))
-    except (TypeError, ValueError):
-        raise AnalysisError(
-            "root must be 'name/arity' or [name, arity], got %r"
-            % (value,)
-        ) from None
+        if not isinstance(name, str):
+            raise AnalysisError(
+                "root name must be a JSON string, got %r" % (name,)
+            )
+        if (not isinstance(arity, int) or isinstance(arity, bool)
+                or arity < 0):
+            raise AnalysisError(
+                "root arity must be a JSON integer >= 0, got %r" % (arity,)
+            )
+        return (name, arity)
+    raise AnalysisError(
+        "root must be 'name/arity' or [name, arity], got %r" % (value,)
+    )
 
 
 @dataclass(frozen=True)
@@ -218,6 +226,11 @@ class AnalyzeRequest:
                 )
         if not isinstance(data["source"], str):
             raise AnalysisError("'source' must be a string of Prolog text")
+        if not isinstance(data["mode"], str):
+            raise AnalysisError(
+                "'mode' must be a JSON string such as \"bbf\", got %r"
+                % (data["mode"],)
+            )
         overrides = data.get("settings") or {}
         if not isinstance(overrides, dict):
             raise AnalysisError("'settings' must be a JSON object")
@@ -244,7 +257,7 @@ class AnalyzeRequest:
         return cls(
             source=data["source"],
             root=_parse_root(data["root"]),
-            mode=str(data["mode"]),
+            mode=data["mode"],
             settings=settings,
             incremental=flags["incremental"],
         )

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+from repro.core import TerminationAnalyzer, clear_caches, pipeline
 from repro.linalg.constraints import Constraint, ConstraintSystem
 from repro.linalg.linexpr import LinearExpr
 from repro.linalg.simplex import is_feasible
 from repro.core.adornment import AdornedPredicate
 from repro.core.dual import theta_var
+from repro.lp.parser import parse_program
+from repro.obs import METRICS
 from repro.core.theta import (
     choose_thetas,
     path_constraints,
@@ -14,12 +17,26 @@ from repro.core.theta import (
     zero_weight_cycle,
 )
 
+from tests.interarg.test_env_soundness import ring_program
+
 
 def node(name):
     return AdornedPredicate((name, 1), "b")
 
 
 A, B, C = node("a"), node("b"), node("c")
+
+
+def count_solves(call):
+    """``(call(), number of solve_lp calls it made)``."""
+    previous = METRICS.set_enabled(True)
+    try:
+        solves = METRICS.counter("simplex.solves")
+        before = solves.value
+        result = call()
+        return result, solves.value - before
+    finally:
+        METRICS.set_enabled(previous)
 
 
 class TestChooseThetas:
@@ -59,6 +76,55 @@ class TestChooseThetas:
         assert thetas[(t, n)] == 0
         assert thetas[(n, e)] == 1
         assert thetas[(e, e)] == 1
+
+    def test_non_cone_settles_only_exact_ones(self):
+        # theta_f >= theta_e / 2 and 1 - 2 theta_f >= 0: the point
+        # pinning theta_e = 1 has theta_f = 1/2 > 0, but the constant
+        # term means it does not scale, and theta_f = 1 is infeasible.
+        e, f = (A, B), (B, A)
+        assert sorted([f, e], key=repr) == [e, f]
+        t_e, t_f = LinearExpr.of(theta_var(*e)), LinearExpr.of(theta_var(*f))
+        combined = ConstraintSystem(
+            [
+                Constraint.ge(t_f * 2, t_e),
+                Constraint.ge(1 - t_f * 2),
+            ]
+        )
+        thetas = choose_thetas([e, f], combined, ConstraintSystem())
+        assert thetas == {e: 1, f: 0}
+
+    def test_cone_point_scales(self):
+        # theta_f >= 2 theta_e has no constant term: the point pinning
+        # theta_e = 1 has theta_f >= 2, and dividing it by theta_f pins
+        # theta_f = 1, so one LP settles both edges.
+        e, f = (A, B), (B, A)
+        t_e, t_f = LinearExpr.of(theta_var(*e)), LinearExpr.of(theta_var(*f))
+        combined = ConstraintSystem([Constraint.ge(t_f, t_e * 2)])
+        assert count_solves(
+            lambda: choose_thetas([e, f], combined, ConstraintSystem())
+        ) == ({e: 1, f: 1}, 1)
+
+    def test_ring_scc_takes_one_lp(self, monkeypatch):
+        # The ring's dual system is a cone, and the point that pins
+        # the first edge's theta to 1 settles all twelve edges.
+        calls = []
+        monkeypatch.setattr(
+            pipeline, "choose_thetas",
+            lambda *args: calls.append(args) or choose_thetas(*args),
+        )
+        program = parse_program(ring_program(12))
+        clear_caches()
+        TerminationAnalyzer(program).analyze(("p1", 1), "b")
+        (edges, combined, lambda_system), = calls
+        assert all(row.const == 0 for row in combined)
+        assert all(row.const == 0 for row in lambda_system)
+
+        thetas, solves = count_solves(
+            lambda: choose_thetas(edges, combined, lambda_system)
+        )
+        assert solves == 1
+        assert len(thetas) == 12
+        assert set(thetas.values()) == {1}
 
 
 class TestZeroWeightCycle:

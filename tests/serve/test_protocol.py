@@ -124,6 +124,38 @@ class TestFromWire:
         with pytest.raises(AnalysisError, match="name/arity"):
             AnalyzeRequest.from_wire(self.wire(root="append"))
 
+    @pytest.mark.parametrize("root", [
+        "append/\u00b2",  # superscript two: isdigit(), but int() raises
+        "append/\uff13",  # fullwidth three: int() reads it as 3
+    ])
+    def test_root_arity_is_ascii_digits(self, root):
+        with pytest.raises(AnalysisError, match="name/arity"):
+            AnalyzeRequest.from_wire(self.wire(root=root))
+
+    @pytest.mark.parametrize("root, field", [
+        (["append", 3.7], "arity"),
+        (["append", True], "arity"),
+        (["append", -1], "arity"),
+        (["append", "3"], "arity"),
+        ([1, 3], "name"),
+        (["append", 3, 0], "name/arity"),
+        ({"name": "append"}, "name/arity"),
+    ])
+    def test_root_pair_is_not_coerced(self, root, field):
+        # A coerced ["append", 3.7] would share the key of
+        # "append/3" and could be answered from its stored payload.
+        with pytest.raises(AnalysisError, match=field):
+            AnalyzeRequest.from_wire(self.wire(root=root))
+
+    @pytest.mark.parametrize("mode", [5, None, ["b", "b", "f"]])
+    def test_mode_must_be_a_string(self, mode):
+        with pytest.raises(AnalysisError, match="'mode'"):
+            AnalyzeRequest.from_wire(self.wire(mode=mode))
+
+    def test_zero_arity_pair(self):
+        request = AnalyzeRequest.from_wire(self.wire(root=["main", 0]))
+        assert request.root == ("main", 0)
+
     def test_unknown_setting(self):
         with pytest.raises(AnalysisError, match="jobs"):
             AnalyzeRequest.from_wire(
