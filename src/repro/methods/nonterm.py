@@ -18,6 +18,17 @@ predicates the root reaches, leftmost clauses first, deduped up to
 variable renaming) yields derived binary clauses ``H <- B`` describing
 multi-step call chains.
 
+**Budgets.**  The closure explores at most :data:`COMPOSE_LIMIT`
+derived clauses.  A binary clause of more than :data:`TERM_NODE_LIMIT`
+term nodes is dropped, base and derived alike, and so is a prefix
+branch that binds a variable to a larger term; the counts stop at the
+limit, so a term that shares subterms costs no more than that to
+reject.  Dropping a clause only loses loops.  A composition costs what
+it changes: a derived clause reuses its parent's head, and that head's
+canonical text, whenever the unifier leaves the head alone.  The
+``nonterm.static`` span counts the clauses explored, composed and
+dropped, and says whether the budget stopped the closure.
+
 Two loop criteria read a derived self-clause ``H <- B``:
 
 1. The body is an **instance of its head** (``B = H·theta``, variants
@@ -95,10 +106,11 @@ from repro.methods.base import TerminationMethod
 
 #: Derived binary clauses the closure explores.
 COMPOSE_LIMIT = 512
-#: Derived binary clauses whose head+body exceed this many term nodes
-#: are dropped — composition can otherwise grow terms without bound
-#: (e.g. ackermann's nested successors).  Dropping candidates only
-#: loses loops, never soundness.
+#: Binary clauses, base or derived, whose head+body exceed this many
+#: term nodes are dropped, and so are prefix branches that bind a
+#: variable to a larger term — composition and prefix facts can
+#: otherwise grow terms without bound (e.g. ackermann's nested
+#: successors).  Dropping candidates only loses loops, never soundness.
 TERM_NODE_LIMIT = 200
 #: Prefix solutions (unit-clause branches) kept per clause; dropping
 #: the rest only loses loops.  Branches multiply per prefix literal
@@ -145,11 +157,20 @@ class StaticLoops(NamedTuple):
     instance of the head), the ``entries`` — ``(clause, loop)`` pairs
     where a derived clause of the root calls an instance of the head
     of a loop — and the ``subsumed`` root clauses whose head is a
-    query in the root mode and an instance of their body."""
+    query in the root mode and an instance of their body.
+
+    And what it did: the pairs ``explored``, the compositions whose
+    unifier existed (``composed``), those ``dropped`` past
+    :data:`TERM_NODE_LIMIT`, and whether :data:`COMPOSE_LIMIT`
+    stopped it (``exhausted``) rather than saturation."""
 
     loops: list
     entries: list
     subsumed: list
+    explored: int = 0
+    composed: int = 0
+    dropped: int = 0
+    exhausted: bool = False
 
 
 def _indicator(atom):
@@ -158,25 +179,91 @@ def _indicator(atom):
     return (atom.name, 0)
 
 
-def _variant_key(head, body):
-    """The pair's text with its variables numbered in first-occurrence
-    order — equal exactly for variants — and its size in term nodes."""
-    names = {}
+def _canonical(term, names, parts, budget):
+    """Append *term*'s text to *parts*, numbering its variables in
+    first-occurrence order through *names* (variable name -> number,
+    extended in place); return its size in term nodes, or None as soon
+    as that exceeds *budget*."""
     nodes = 0
-
-    def canonical(term):
-        nonlocal nodes
+    stack = [term]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
         nodes += 1
-        if isinstance(term, Var):
-            index = names.setdefault(term.name, len(names))
-            return "_%d" % index
-        if isinstance(term, Struct):
-            return "%s(%s)" % (
-                term.functor, ",".join(canonical(a) for a in term.args)
-            )
-        return "a:%r" % (term.name,)
+        if nodes > budget:
+            return None
+        if isinstance(item, Var):
+            index = names.get(item.name)
+            if index is None:
+                index = names[item.name] = len(names)
+            parts.append("_%d" % index)
+        elif isinstance(item, Struct):
+            parts.append(item.functor + "(")
+            stack.append(")")
+            args = item.args
+            for position in range(len(args) - 1, 0, -1):
+                stack.append(args[position])
+                stack.append(",")
+            stack.append(args[0])
+        else:
+            parts.append("a:%r" % (item.name,))
+    return nodes
 
-    return canonical(head) + "<-" + canonical(body), nodes
+
+class _Head(NamedTuple):
+    """A queued pair's head, canonicalized once: its text, its variable
+    numbering (which doubles as its variable set) and its node count."""
+
+    text: str
+    names: dict
+    nodes: int
+
+
+def _head_of(head):
+    """The :class:`_Head` of *head*, or None past the node limit."""
+    names, parts = {}, []
+    nodes = _canonical(head, names, parts, TERM_NODE_LIMIT)
+    if nodes is None:
+        return None
+    return _Head("".join(parts), names, nodes)
+
+
+def _variant_key(head_key, body):
+    """The pair's text with its variables numbered in first-occurrence
+    order -- equal exactly for variants -- continuing from *head_key*,
+    the :class:`_Head` of its head; None when head and body together
+    exceed :data:`TERM_NODE_LIMIT` nodes."""
+    names = dict(head_key.names)
+    parts = [head_key.text, "<-"]
+    if _canonical(body, names, parts,
+                  TERM_NODE_LIMIT - head_key.nodes) is None:
+        return None
+    return "".join(parts)
+
+
+def _larger_than(terms, limit):
+    """True when *terms* have more than *limit* nodes together; stops
+    counting there, so terms that share subterms cost O(limit)."""
+    nodes = 0
+    stack = list(terms)
+    while stack:
+        item = stack.pop()
+        nodes += 1
+        if nodes > limit:
+            return True
+        if isinstance(item, Struct):
+            stack.extend(item.args)
+    return False
+
+
+def _bounded(subst):
+    """True when a prefix branch's substitution exists and binds no
+    variable to a term of more than :data:`TERM_NODE_LIMIT` nodes."""
+    return subst is not None and not any(
+        _larger_than((value,), TERM_NODE_LIMIT) for value in subst.values()
+    )
 
 
 def binary_clauses(program, root, mode):
@@ -188,7 +275,10 @@ def binary_clauses(program, root, mode):
 
     A pair whose head *root* never reaches can feed no root loop, entry
     or subsumed clause, so leaving it out keeps the closure's order
-    among the pairs that can while sparing the budget.
+    among the pairs that can while sparing the budget.  A pair of more
+    than :data:`TERM_NODE_LIMIT` nodes is dropped, and so is a prefix
+    branch that binds a variable to a larger term: a fact like
+    ``p(X, f(X, X))`` doubles a term at every prefix literal.
     """
     clauses = program.clauses
     facts = {}
@@ -216,18 +306,19 @@ def binary_clauses(program, root, mode):
                 ]
                 branches = [
                     (subst, used) for subst, used in solved
-                    if subst is not None
+                    if _bounded(subst)
                 ]
             elif indicator in BUILTIN_PREDICATES:
                 break
             else:
                 found = prefixed if position else leftmost
                 for subst, used in branches:
-                    found.append(BinaryClause(
-                        apply_subst(clause.head, subst),
-                        apply_subst(literal.atom, subst),
-                        (index,), (used,),
-                    ))
+                    head = apply_subst(clause.head, subst)
+                    body = apply_subst(literal.atom, subst)
+                    if not _larger_than((head, body), TERM_NODE_LIMIT):
+                        found.append(BinaryClause(
+                            head, body, (index,), (used,),
+                        ))
                 solved = []
                 for subst, used in branches:
                     for fact in facts.get(indicator, ()):
@@ -235,7 +326,7 @@ def binary_clauses(program, root, mode):
                             literal.atom, rename_apart(clauses[fact]).head,
                             subst,
                         )
-                        if extended is not None:
+                        if _bounded(extended):
                             solved.append((extended, used + (fact,)))
                 branches = solved[:PREFIX_BRANCH_LIMIT]
             if not branches:
@@ -274,6 +365,37 @@ def _renamed(pair):
     return rename_term_apart(Struct("<-", (pair.head, pair.body))).args
 
 
+class _Renaming(NamedTuple):
+    """A base pair with, per variable, the name pattern of its copies:
+    ``<base>#c<n>`` (``.<k>`` after the first variable sharing a base),
+    injective like :func:`~repro.lp.unify.rename_apart`.  No base pair
+    has a ``#c`` name, so copies with distinct ``n`` share no variable
+    with each other or with the base."""
+
+    pair: BinaryClause
+    patterns: tuple
+
+    @classmethod
+    def of(cls, pair):
+        bases = {}
+        patterns = []
+        for var in terms_variables((pair.head, pair.body)):
+            base = var.name.split("#")[0]
+            taken = bases.get(base, 0)
+            bases[base] = taken + 1
+            patterns.append((var, base, ".%d" % taken if taken else ""))
+        return cls(pair, tuple(patterns))
+
+    def fresh(self, copy):
+        """The pair's head and body, renamed to copy number *copy*."""
+        renaming = {
+            var: Var("%s#c%d%s" % (base, copy, tail))
+            for var, base, tail in self.patterns
+        }
+        return (apply_subst(self.pair.head, renaming),
+                apply_subst(self.pair.body, renaming))
+
+
 def find_static_loops(program, root, mode):
     """Loops among the budgeted composition closure of the binary
     clauses, the derived clauses of *root* that reach one, and the
@@ -282,50 +404,79 @@ def find_static_loops(program, root, mode):
 
     Sound: every instance of a loop's head diverges, and so does every
     instance of an entry's head and a subsumed clause's head itself.
+
+    A composition costs what it changes.  Each queued pair keeps its
+    head's :class:`_Head`; the renamed base pair's head is unified with
+    the pair's body so that its fresh variables bind to the pair's own,
+    and when the unifier binds no head variable the derived head is the
+    pair's head, object and key prefix alike, and only the new body is
+    canonicalized.  Mgus are unique up to renaming, so the queue holds
+    the same pairs up to variants whichever side binds.
     """
     base = binary_clauses(program, root, mode)
     by_indicator = {}
     for pair in base:
-        by_indicator.setdefault(_indicator(pair.head), []).append(pair)
+        by_indicator.setdefault(_indicator(pair.head), []).append(
+            _Renaming.of(pair)
+        )
     seen = set()
     queue = []
+    heads = []
     for pair in base:
-        key, _ = _variant_key(pair.head, pair.body)
+        head_key = _head_of(pair.head)
+        key = _variant_key(head_key, pair.body)
         if key not in seen:
             seen.add(key)
             queue.append(pair)
+            heads.append(head_key)
     loops = []
+    copies = itertools.count(1)
+    composed = dropped = 0
+    exhausted = False
     index = 0
     while index < len(queue) and index < COMPOSE_LIMIT:
         pair = queue[index]
         head, body, chain, prefixes = pair
+        head_key = heads[index]
         index += 1
         if _indicator(head) == _indicator(body) and is_instance_of(body, head):
             loops.append(pair)
             continue  # already a loop; composing further adds nothing
         if _reached_loop(body, loops) is not None:
             continue  # every call beyond this one diverges already
-        for pair2 in by_indicator.get(_indicator(body), ()):
+        for renaming in by_indicator.get(_indicator(body), ()):
             if len(queue) >= COMPOSE_LIMIT:
+                exhausted = True
                 break  # a pair queued past the budget is never explored
+            pair2 = renaming.pair
             if _clash(body, pair2.head):
                 continue
-            head2, body2 = _renamed(pair2)
-            theta = unify(body, head2)
+            head2, body2 = renaming.fresh(next(copies))
+            theta = unify(head2, body)
             if theta is None:
                 continue
-            derived = BinaryClause(
-                apply_subst(head, theta),
-                apply_subst(body2, theta),
-                chain + pair2.chain,
-                prefixes + pair2.prefixes,
+            composed += 1
+            names = head_key.names
+            if any(var.name in names for var in theta):
+                derived_head = apply_subst(head, theta)
+                derived_key = _head_of(derived_head)
+            else:
+                derived_head, derived_key = head, head_key
+            # theta is idempotent: one pass instantiates body2 fully.
+            derived_body = substitute(body2, theta)
+            key = None if derived_key is None else _variant_key(
+                derived_key, derived_body
             )
-            key, nodes = _variant_key(derived.head, derived.body)
-            if nodes > TERM_NODE_LIMIT:
+            if key is None:
+                dropped += 1
                 continue
             if key not in seen:
                 seen.add(key)
-                queue.append(derived)
+                queue.append(BinaryClause(
+                    derived_head, derived_body,
+                    chain + pair2.chain, prefixes + pair2.prefixes,
+                ))
+                heads.append(derived_key)
     entries = []
     subsumed = []
     for pair in queue[:index]:
@@ -338,7 +489,10 @@ def find_static_loops(program, root, mode):
               and _is_mode_query(pair.head, mode)
               and is_instance_of(pair.head, pair.body)):
             subsumed.append(pair)
-    return StaticLoops(loops, entries, subsumed)
+    return StaticLoops(
+        loops, entries, subsumed, explored=index, composed=composed,
+        dropped=dropped, exhausted=exhausted or index < len(queue),
+    )
 
 
 def _loop_witness(head, mode):
@@ -432,8 +586,12 @@ class NonTerminationMethod(TerminationMethod):
                     "builtin; the loop criteria would be unsound under "
                     "pruning", None, members, nodes, norm, trace,
                 )
-            with trace.span("nonterm.static"):
+            with trace.span("nonterm.static") as span:
                 static = find_static_loops(program, root, mode)
+                span.inc("pairs_explored", static.explored)
+                span.inc("pairs_composed", static.composed)
+                span.inc("pairs_dropped_for_size", static.dropped)
+                span.set(compose_limit_hit=static.exhausted)
             verdict = self._decide(program, root, mode, static, trace)
             if verdict is not None:
                 status, reason, witness = verdict

@@ -373,3 +373,89 @@ def test_subsumption_never_grounds(source, root, mode):
     )
     assert not find_static_loops(program, root, mode).subsumed
     assert nonterm_result(program, root, mode).status == UNKNOWN
+
+
+def successor_chain(literals, step):
+    """``h/1`` behind *literals* prefix calls of the fact ``p(X, s^step(X))``:
+    each solved literal adds *step* successors to the last variable."""
+    grown = "s(" * step + "X" + ")" * step
+    calls = ", ".join("p(X%d, X%d)" % (i, i + 1) for i in range(literals))
+    return "p(X, %s).\nh(X0) :- %s, h(X%d).\n" % (grown, calls, literals)
+
+
+def doubling_chain(literals):
+    """``h/1`` behind *literals* calls of ``p(X, f(X, X))``, each of
+    which doubles the term the next one sees."""
+    calls = ", ".join("p(X%d, X%d)" % (i, i + 1) for i in range(literals))
+    return "p(X, f(X, X)).\nh(X0) :- %s, h(X%d).\n" % (calls, literals)
+
+
+class TestBoundedBase:
+    """Base pairs and prefix branches stay within TERM_NODE_LIMIT: a
+    program whose prefixes grow a term past it comes back with a
+    status, never an exception or exponential work."""
+
+    @pytest.mark.parametrize("method", ["nonterm", "portfolio"])
+    @pytest.mark.parametrize("source", [
+        successor_chain(20, 20), doubling_chain(16), doubling_chain(24),
+    ], ids=["successors", "doubling16", "doubling24"])
+    def test_growing_prefix_returns_a_status(self, source, method):
+        program = parse_program(source)
+        result = run_method(
+            program, ("h", 1), "b", settings=AnalyzerSettings(method=method)
+        )
+        assert result.status == UNKNOWN
+
+    def test_base_pairs_are_bounded(self):
+        program = parse_program(successor_chain(20, 20))
+        base = nonterm.binary_clauses(program, ("h", 1), "b")
+        assert base
+        for pair in base:
+            assert not nonterm._larger_than(
+                (pair.head, pair.body), nonterm.TERM_NODE_LIMIT
+            )
+        # The branch that bound X10 to 201 nodes went, and with it
+        # every literal after it.
+        assert len(base) == 10
+
+    def test_small_growth_is_kept(self):
+        # Within the limit the same shape still reaches its loop.
+        program = parse_program(successor_chain(3, 2))
+        witness = witness_of(program, ("h", 1), "b")
+        assert verify_loop(program, witness)
+
+    def test_count_stops_at_the_limit(self):
+        # A term shared 2^40 ways is counted only up to the limit.
+        term = Var("X")
+        for _ in range(40):
+            term = Struct("f", (term, term))
+        assert nonterm._larger_than((term,), nonterm.TERM_NODE_LIMIT)
+        assert not nonterm._larger_than((Struct("f", (Var("X"),)),), 2)
+        assert nonterm._larger_than((Struct("f", (Var("X"),)),), 1)
+
+
+class TestClosureCounters:
+    """The ``nonterm.static`` span says what the closure did."""
+
+    @staticmethod
+    def static_span(name):
+        entry = get_program(name)
+        result = nonterm_result(load(entry), tuple(entry.root), entry.mode)
+        (span,) = [
+            span for root in result.trace.tracer.roots
+            for span in root.find("nonterm.static")
+        ]
+        return span
+
+    def test_saturated_closure(self):
+        span = self.static_span("seesaw")
+        assert span.counters == {
+            "pairs_explored": 390, "pairs_composed": 390,
+            "pairs_dropped_for_size": 2,
+        }
+        assert span.attrs["compose_limit_hit"] is False
+
+    def test_budgeted_closure(self):
+        span = self.static_span("example_a1")
+        assert span.counters["pairs_explored"] == nonterm.COMPOSE_LIMIT
+        assert span.attrs["compose_limit_hit"] is True

@@ -100,18 +100,21 @@ def assignments(var_pool=("x", "y", "z")):
     )
 
 
-def pure_programs(max_clauses=4):
+def pure_programs(max_clauses=4, min_body=0):
     """Small pure logic programs over ``p/1`` and ``q/1``.
 
     No cut, negation, or builtins — exactly the fragment where every
     registered termination method's verdict is sound, so cross-method
     properties (never PROVED *and* DISPROVED) can quantify over them.
     A ``p(a).`` fact is always appended so the root ``p/1`` is defined.
+    With *min_body* ``1`` every drawn clause calls ``p`` or ``q``, so
+    the program recurses and its binary clauses compose.
     """
     from repro.lp.program import Clause, Literal, Program
 
     heads = st.tuples(st.sampled_from(("p", "q")), terms(max_leaves=4))
-    clauses = st.tuples(heads, st.lists(heads, max_size=2))
+    clauses = st.tuples(heads, st.lists(heads, min_size=min_body,
+                                        max_size=2))
 
     def build(drawn):
         built = [

@@ -293,6 +293,24 @@ class TestHostileNesting:
                 assert "nested deeper" in text
             assert client.analyze(APPEND, ("append", 3), "bbf").proved
 
+    def test_terms_grown_by_prefixes_are_answered(self, tmp_path):
+        # Shallow source, but prefix facts grow a term without bound:
+        # nonterm drops what outgrows its node limit and answers.
+        from tests.methods.test_loop_witness import (
+            doubling_chain,
+            successor_chain,
+        )
+
+        with serve(tmp_path) as (app, client):
+            for source in (successor_chain(20, 20), doubling_chain(16)):
+                body = {"source": source, "root": "h/1", "mode": "b",
+                        "settings": {"method": "nonterm"}}
+                status, _, text = client._request(
+                    "POST", "/v1/analyze", json.dumps(body).encode()
+                )
+                assert status == 200, text
+                assert json.loads(text)["status"] == "UNKNOWN"
+
 
 class TestStoreIntegration:
     def test_second_identical_request_is_a_warm_hit(self, tmp_path):
